@@ -32,6 +32,7 @@ PHASE_SECTIONS = {
     "bnb": "§11",
     "zdd_cover": "§8",
     "implicit_primes": "§8",
+    "primes.consensus": "§8",
     "table": "§8",
     "budget": "§9",
     "rwls": "§14",
@@ -232,7 +233,7 @@ def report(stream, out, phases_only=False):
 
 
 SAMPLE = """\
-{"type": "meta", "version": 1, "level": "iter", "spans": 8, "iter_events": 4, "instants": 1, "dropped": 0, "clock": "steady", "time_unit": "us"}
+{"type": "meta", "version": 1, "level": "iter", "spans": 12, "iter_events": 4, "instants": 1, "dropped": 0, "clock": "steady", "time_unit": "us"}
 {"type": "span", "name": "two_level", "tid": 0, "depth": 0, "ts_us": 0.0, "dur_us": 1000.0, "counters": {}}
 {"type": "span", "name": "two_level.build_table", "tid": 0, "depth": 1, "ts_us": 10.0, "dur_us": 200.0, "counters": {"zdd.cache_hits": 50, "zdd.cache_misses": 10}}
 {"type": "span", "name": "implicit_primes", "tid": 0, "depth": 2, "ts_us": 20.0, "dur_us": 150.0, "counters": {"zdd.cache_hits": 40, "zdd.chain_nodes_made": 12, "zdd.chain_hits": 30}}
@@ -246,6 +247,10 @@ SAMPLE = """\
 {"type": "iter", "channel": "subgradient", "tid": 0, "iter": 2, "ts_us": 350.0, "lb": 14.0, "ub": 15.0, "step": 1.0, "live_rows": 90, "live_cols": 70, "cache_hit_rate": 0.85}
 {"type": "iter", "channel": "rwls", "tid": 2, "iter": 128, "ts_us": 360.0, "lb": 10.0, "ub": 16.0, "step": 16.0, "live_rows": 2, "live_cols": 15, "cache_hit_rate": 0.0}
 {"type": "instant", "name": "budget.zdd_fallback", "tid": 0, "ts_us": 120.0}
+{"type": "span", "name": "two_level.build_table", "tid": 3, "depth": 0, "ts_us": 2204581.250, "dur_us": 900000.000, "counters": {}}
+{"type": "span", "name": "table.primes", "tid": 3, "depth": 1, "ts_us": 2204581.500, "dur_us": 600000.250, "counters": {}}
+{"type": "span", "name": "primes.consensus", "tid": 3, "depth": 2, "ts_us": 2204581.750, "dur_us": 599999.500, "counters": {}}
+{"type": "span", "name": "table.onset_matrix", "tid": 3, "depth": 1, "ts_us": 2804582.000, "dur_us": 299999.000, "counters": {}}
 """
 
 
@@ -253,15 +258,24 @@ def selftest():
     meta, spans, iters, instants, errors = parse(io.StringIO(SAMPLE))
     assert not errors, errors
     assert meta is not None and meta["version"] == 1
-    assert len(spans) == 8 and len(iters) == 4 and len(instants) == 1
+    assert len(spans) == 12 and len(iters) == 4 and len(instants) == 1
 
     per = self_times(spans)
     # two_level(1000) has children build_table(200) + scg(600) -> self 200.
     assert abs(per["two_level"][1] - 200.0) < 1e-6, per["two_level"]
     # scg(600) has child subgradient(400) -> self 200.
     assert abs(per["scg"][1] - 200.0) < 1e-6, per["scg"]
-    # build_table(200) has child implicit_primes(150) -> self 50.
-    assert abs(per["two_level.build_table"][1] - 50.0) < 1e-6
+    # Two build_table spans: on tid 0, build_table(200) has child
+    # implicit_primes(150) -> self 50. On tid 3, beyond one second
+    # (fixed-point ts/dur, as the exporters write them), build_table(900000)
+    # has children table.primes(600000.25) + table.onset_matrix(299999) ->
+    # self 0.75, and table.primes keeps 0.75 over primes.consensus.
+    assert per["two_level.build_table"][2] == 2
+    assert abs(per["two_level.build_table"][1] - (50.0 + 0.75)) < 1e-6, \
+        per["two_level.build_table"]
+    assert abs(per["table.primes"][1] - 0.75) < 1e-6, per["table.primes"]
+    assert abs(per["primes.consensus"][1] - 599999.5) < 1e-6
+    assert section_of("primes.consensus") == "§8"
     # Leaf spans keep their full duration; other-thread spans don't nest.
     assert abs(per["subgradient"][1] - 400.0) < 1e-6
     assert abs(per["reduce"][1] - 50.0) < 1e-6

@@ -7,9 +7,11 @@
 //    encoding (one ZDD var per input).
 //  * Rows are *signature classes*: minterms covered by exactly the same set
 //    of primes are one row (this subsumes duplicate-row removal and is how
-//    the implicit phase keeps the decoded matrix small). The classes are
-//    computed by ZDD partition refinement — intersect/difference against each
-//    prime's minterm set — so the row side stays implicit until Decode.
+//    the implicit phase keeps the decoded matrix small). The classes come
+//    from one memoised, read-only walk down each output's on-set ZDD that
+//    carries the set of still-compatible primes and stops as soon as no
+//    live prime can tell the remaining minterms apart, so the row side stays
+//    implicit until Decode (DESIGN.md §8).
 //  * Primes covering a singleton-signature class are essential (detected here
 //    for the statistics; the explicit reducer re-derives them).
 //
@@ -31,8 +33,8 @@ enum class PrimeMethod {
     kImplicit,   ///< Coudert–Madre implicit primes (single-output only)
 };
 
-/// How the signature-class rows are computed. kAuto runs the ZDD partition
-/// refinement and, if a governed node budget trips mid-flight
+/// How the signature-class rows are computed. kAuto runs the ZDD signature
+/// walk and, if a governed node budget trips mid-flight
 /// (ResourceError with Status::kNodeBudget), abandons it and falls back to
 /// the explicit minterm-enumeration path — recording the switch in the
 /// "budget.zdd_fallbacks" stats counter. Both paths produce the identical
@@ -40,7 +42,7 @@ enum class PrimeMethod {
 /// and memory shape, never the answer.
 enum class RowMethod {
     kAuto,      ///< implicit with graceful explicit fallback
-    kImplicit,  ///< ZDD partition refinement only (trips propagate)
+    kImplicit,  ///< ZDD signature walk only (trips propagate)
     kExplicit,  ///< explicit minterm enumeration only (no ZDD use)
 };
 

@@ -61,6 +61,10 @@ Cube Cube::full_inputs(const CubeSpace& s) {
     return c;
 }
 
+Cube Cube::from_words(const CubeSpace& s, const std::uint64_t* w) {
+    return Cube(std::vector<std::uint64_t>(w, w + s.words()));
+}
+
 Cube Cube::parse(const CubeSpace& s, const std::string& in_part,
                  const std::string& out_part) {
     UCP_REQUIRE(in_part.size() == s.num_inputs, "input part length mismatch");

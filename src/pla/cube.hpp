@@ -60,6 +60,9 @@ public:
     static Cube full(const CubeSpace& s);
     /// All inputs don't-care, no outputs asserted (useful as a builder start).
     static Cube full_inputs(const CubeSpace& s);
+    /// The cube whose raw word layout (see words()) is the s.words() words
+    /// starting at `w`.
+    static Cube from_words(const CubeSpace& s, const std::uint64_t* w);
     /// Parses "01-0 10" style text (input part, optional output part).
     static Cube parse(const CubeSpace& s, const std::string& in_part,
                       const std::string& out_part = "");

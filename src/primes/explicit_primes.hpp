@@ -11,6 +11,10 @@
 
 #include "pla/cover.hpp"
 
+namespace ucp {
+class Budget;
+}
+
 namespace ucp::primes {
 
 struct ConsensusStats {
@@ -22,10 +26,15 @@ struct ConsensusStats {
 
 /// Computes all prime implicants of the function covered by `care`
 /// (multi-output; for input-only covers pass a cover with m == 0).
-/// Throws std::runtime_error if more than `max_primes` primes are generated.
+/// Throws ResourceError(Status::kNodeBudget) — a std::runtime_error — if more
+/// than `max_primes` cubes are generated. A non-null `governor` is polled
+/// once per frontier cube; its deadline/cancel trips throw ResourceError.
+/// Each call adds its ConsensusStats to the "primes.consensus_attempts",
+/// "primes.cubes_added" and "primes.cubes_absorbed" stats counters.
 pla::Cover primes_by_consensus(const pla::Cover& care,
                                std::size_t max_primes = 2'000'000,
-                               ConsensusStats* stats = nullptr);
+                               ConsensusStats* stats = nullptr,
+                               Budget* governor = nullptr);
 
 /// The classical Quine–McCluskey tabular method [17]: expand the care
 /// function to minterms, group by the number of asserted inputs, and merge

@@ -1,5 +1,7 @@
 #include "util/trace.hpp"
 
+#include <ostream>
+
 #if UCP_TRACE_ENABLED
 
 #include <algorithm>
@@ -247,7 +249,14 @@ std::vector<Tagged> merged() {
     return out;
 }
 
-double us(std::uint64_t ns) { return static_cast<double>(ns) * 1e-3; }
+/// A nanosecond count streamed as fixed-point microseconds (write_us).
+struct Us {
+    std::uint64_t ns;
+};
+std::ostream& operator<<(std::ostream& os, Us t) {
+    write_us(os, t.ns);
+    return os;
+}
 
 /// Writes the nonzero counter deltas of a span as a JSON object.
 void write_deltas(std::ostream& os, const Record& rec) {
@@ -278,8 +287,8 @@ void write_jsonl(std::ostream& os) {
             case Record::Kind::kSpan:
                 os << "{\"type\": \"span\", \"name\": \"" << rec.name
                    << "\", \"tid\": " << tr.tid << ", \"depth\": " << rec.depth
-                   << ", \"ts_us\": " << us(rec.t0_ns)
-                   << ", \"dur_us\": " << us(rec.t1_ns - rec.t0_ns)
+                   << ", \"ts_us\": " << Us{rec.t0_ns}
+                   << ", \"dur_us\": " << Us{rec.t1_ns - rec.t0_ns}
                    << ", \"counters\": ";
                 write_deltas(os, rec);
                 os << "}\n";
@@ -287,7 +296,7 @@ void write_jsonl(std::ostream& os) {
             case Record::Kind::kIter:
                 os << "{\"type\": \"iter\", \"channel\": \"" << rec.name
                    << "\", \"tid\": " << tr.tid << ", \"iter\": " << rec.iter
-                   << ", \"ts_us\": " << us(rec.t0_ns) << ", \"lb\": " << rec.lb
+                   << ", \"ts_us\": " << Us{rec.t0_ns} << ", \"lb\": " << rec.lb
                    << ", \"ub\": " << rec.ub << ", \"step\": " << rec.step
                    << ", \"live_rows\": " << rec.live_rows
                    << ", \"live_cols\": " << rec.live_cols
@@ -296,7 +305,7 @@ void write_jsonl(std::ostream& os) {
             case Record::Kind::kInstant:
                 os << "{\"type\": \"instant\", \"name\": \"" << rec.name
                    << "\", \"tid\": " << tr.tid
-                   << ", \"ts_us\": " << us(rec.t0_ns) << "}\n";
+                   << ", \"ts_us\": " << Us{rec.t0_ns} << "}\n";
                 break;
         }
     }
@@ -318,8 +327,8 @@ void write_chrome(std::ostream& os) {
                 sep();
                 os << "{\"ph\": \"X\", \"name\": \"" << rec.name
                    << "\", \"pid\": 1, \"tid\": " << tr.tid
-                   << ", \"ts\": " << us(rec.t0_ns)
-                   << ", \"dur\": " << us(rec.t1_ns - rec.t0_ns)
+                   << ", \"ts\": " << Us{rec.t0_ns}
+                   << ", \"dur\": " << Us{rec.t1_ns - rec.t0_ns}
                    << ", \"args\": ";
                 write_deltas(os, rec);
                 os << '}';
@@ -329,7 +338,7 @@ void write_chrome(std::ostream& os) {
                 // converging bounds as line charts in Perfetto.
                 sep();
                 os << "{\"ph\": \"C\", \"name\": \"" << rec.name
-                   << ".bounds\", \"pid\": 1, \"ts\": " << us(rec.t0_ns)
+                   << ".bounds\", \"pid\": 1, \"ts\": " << Us{rec.t0_ns}
                    << ", \"args\": {\"lb\": " << rec.lb
                    << ", \"ub\": " << rec.ub << "}}";
                 break;
@@ -337,7 +346,7 @@ void write_chrome(std::ostream& os) {
                 sep();
                 os << "{\"ph\": \"i\", \"name\": \"" << rec.name
                    << "\", \"pid\": 1, \"tid\": " << tr.tid
-                   << ", \"ts\": " << us(rec.t0_ns) << ", \"s\": \"t\"}";
+                   << ", \"ts\": " << Us{rec.t0_ns} << ", \"s\": \"t\"}";
                 break;
         }
     }
@@ -434,3 +443,14 @@ const char* to_string(Level) noexcept { return "off"; }
 }  // namespace ucp::trace
 
 #endif  // UCP_TRACE_ENABLED
+
+namespace ucp::trace {
+
+void write_us(std::ostream& os, std::uint64_t ns) {
+    char frac[4] = {static_cast<char>('0' + ns / 100 % 10),
+                    static_cast<char>('0' + ns / 10 % 10),
+                    static_cast<char>('0' + ns % 10), '\0'};
+    os << ns / 1000 << '.' << frac;
+}
+
+}  // namespace ucp::trace

@@ -99,6 +99,12 @@ struct InstantView {
     std::uint64_t t_ns;
 };
 
+/// Writes a nanosecond count as fixed-point microseconds with exactly three
+/// decimals ("2204581.250"), the exporters' ts/dur format: exact at any
+/// trace length, unlike a default-precision double (6 significant digits
+/// turn 2204581.25 into 2.20458e+06 past one second).
+void write_us(std::ostream& os, std::uint64_t ns);
+
 /// True when the library was built with tracing compiled in (UCP_TRACE=ON).
 [[nodiscard]] constexpr bool compiled_in() noexcept {
     return UCP_TRACE_ENABLED != 0;

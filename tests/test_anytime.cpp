@@ -1,7 +1,9 @@
 // The anytime solver harness: deadline and cancellation trips return a
 // feasible best-so-far result with a valid bound, fault injection trips
-// deterministically regardless of thread count, and a ZDD node-budget trip
-// degrades to the explicit path with a bit-identical covering matrix.
+// deterministically regardless of thread count, the consensus closure stops
+// on cancel/deadline and reports a prime-limit overflow as a node-budget
+// status, and a ZDD node-budget trip degrades to the explicit path with a
+// bit-identical covering matrix.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,6 +12,7 @@
 #include "cover/table_builder.hpp"
 #include "gen/pla_gen.hpp"
 #include "gen/scp_gen.hpp"
+#include "primes/explicit_primes.hpp"
 #include "solver/scg.hpp"
 #include "solver/two_level.hpp"
 #include "util/budget.hpp"
@@ -181,6 +184,55 @@ TEST(Anytime, CancelFaultIsDeterministicAcrossThreadCounts) {
         EXPECT_EQ(results[0].status, Status::kCancelled);
         EXPECT_TRUE(m.is_feasible(results[0].solution));
     }
+}
+
+// ---- the consensus closure is governed -----------------------------------------
+
+TEST(Anytime, ConsensusClosureStopsOnCancelAndDeadline) {
+    const Pla p = random_pla(4201, 7, 3, 16);
+    ucp::pla::Cover care = p.on;
+    care.append(p.dc);
+
+    CancelToken cancel;
+    cancel.cancel();
+    Budget cancelled(BudgetOptions{}, &cancel);
+    BudgetOptions dopt;
+    dopt.deadline_seconds = 1e-9;  // expired by the first poll
+    Budget expired(dopt);
+    for (auto [gov, want] : {std::pair{&cancelled, Status::kCancelled},
+                             std::pair{&expired, Status::kDeadline}}) {
+        try {
+            (void)ucp::primes::primes_by_consensus(care, 1u << 20, nullptr, gov);
+            ADD_FAILURE() << "the closure ignored a tripped governor";
+        } catch (const ucp::ResourceError& e) {
+            EXPECT_EQ(e.status(), want);
+        }
+    }
+
+    TwoLevelOptions copt;
+    copt.cancel = &cancel;
+    EXPECT_EQ(minimize_two_level(p, copt).status, Status::kCancelled);
+    TwoLevelOptions dlopt;
+    dlopt.budget.deadline_seconds = 1e-9;
+    EXPECT_EQ(minimize_two_level(p, dlopt).status, Status::kDeadline);
+}
+
+TEST(Anytime, PrimeLimitOverflowReportsNodeBudget) {
+    const Pla p = random_pla(4211, 7, 3, 16);
+    ucp::pla::Cover care = p.on;
+    care.append(p.dc);
+    try {
+        (void)ucp::primes::primes_by_consensus(care, 2);
+        ADD_FAILURE() << "max_primes overflow did not throw";
+    } catch (const ucp::ResourceError& e) {
+        EXPECT_EQ(e.status(), Status::kNodeBudget);
+    }
+
+    TwoLevelOptions opt;
+    opt.table.max_primes = 2;
+    const auto r = minimize_two_level(p, opt);
+    EXPECT_EQ(r.status, Status::kNodeBudget);
+    EXPECT_TRUE(r.cover.empty());
 }
 
 // ---- node budget: graceful implicit → explicit fallback ---------------------

@@ -1,6 +1,7 @@
 // Prime generation: explicit consensus and implicit BDD→ZDD methods validated
 // against a brute-force prime enumerator on small functions, and against each
-// other on larger single-output functions.
+// other on larger single-output functions. The consensus closure must also
+// reproduce a test-local reference closure cube for cube.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,6 +10,7 @@
 #include "primes/explicit_primes.hpp"
 #include "primes/implicit_primes.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -97,6 +99,125 @@ std::set<std::string> cover_strings(const Cover& f) {
     std::set<std::string> out;
     for (const auto& c : f) out.insert(c.to_string(f.space()));
     return out;
+}
+
+/// The iterated-consensus closure as first written, one heap-allocated Cube
+/// per working-set entry and two absorption scans per insert: the reference
+/// whose cube sequence and statistics primes_by_consensus must reproduce
+/// exactly (column order feeds the covering solver's tie-breaks).
+Cover reference_consensus(const Cover& care, ucp::primes::ConsensusStats& st) {
+    const CubeSpace& s = care.space();
+    std::vector<Cube> cubes;
+    std::vector<bool> dead;
+    const auto insert = [&](Cube c) {
+        if (!c.valid(s)) return;
+        for (std::size_t i = 0; i < cubes.size(); ++i)
+            if (!dead[i] && cubes[i].contains(s, c)) return;
+        for (std::size_t i = 0; i < cubes.size(); ++i)
+            if (!dead[i] && c.contains(s, cubes[i])) {
+                dead[i] = true;
+                ++st.cubes_absorbed;
+            }
+        cubes.push_back(std::move(c));
+        dead.push_back(false);
+        ++st.cubes_added;
+    };
+    for (const auto& c : care) insert(c);
+    std::size_t frontier_start = 0;
+    while (frontier_start < cubes.size()) {
+        const std::size_t frontier_end = cubes.size();
+        ++st.passes;
+        for (std::size_t j = frontier_start; j < frontier_end; ++j) {
+            if (dead[j]) continue;
+            for (std::size_t i = 0; i < j; ++i) {
+                if (dead[i] || dead[j]) continue;
+                ++st.consensus_attempts;
+                const Cube a = cubes[i], b = cubes[j];
+                if (const auto cons = a.consensus(s, b)) insert(*cons);
+                if (dead[i] || dead[j]) continue;
+                if (const auto ocons = a.output_consensus(s, b)) insert(*ocons);
+            }
+        }
+        frontier_start = frontier_end;
+    }
+    Cover out(s);
+    for (std::size_t i = 0; i < cubes.size(); ++i)
+        if (!dead[i]) out.add(cubes[i]);
+    return out;
+}
+
+TEST(ExplicitPrimes, ClosureMatchesReferenceSequenceAndStats) {
+    Rng rng(1207);
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto n = static_cast<std::uint32_t>(3 + trial % 8);  // 3..10
+        const auto m = static_cast<std::uint32_t>(trial % 5);      // 0..4
+        const Cover f =
+            random_cover(rng, n, m, 4 + trial % 11, 0.3 + 0.05 * (trial % 8));
+        ucp::primes::ConsensusStats want_st, got_st;
+        const Cover want = reference_consensus(f, want_st);
+        const Cover got = ucp::primes::primes_by_consensus(f, 1u << 20, &got_st);
+        SCOPED_TRACE(f.to_string());
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(want[i], got[i]) << "cube " << i;
+        EXPECT_EQ(want_st.consensus_attempts, got_st.consensus_attempts);
+        EXPECT_EQ(want_st.cubes_added, got_st.cubes_added);
+        EXPECT_EQ(want_st.cubes_absorbed, got_st.cubes_absorbed);
+        EXPECT_EQ(want_st.passes, got_st.passes);
+    }
+}
+
+TEST(ExplicitPrimes, ClosureMatchesReferenceAcrossWordBoundaries) {
+    // Covers wider than one 64-bit word on the input and the output side:
+    // near-copies of one base cube, so consensus pairs conflict on inputs in
+    // either word.
+    Rng rng(1223);
+    for (const auto& [n, m] : {std::pair{70u, 0u}, std::pair{70u, 3u},
+                              std::pair{130u, 2u}, std::pair{66u, 66u}}) {
+        const CubeSpace s{n, m};
+        Cube base = Cube::full_inputs(s);
+        for (std::uint32_t i = 0; i < n; ++i)
+            if (rng.chance(0.2))
+                base.set_in(s, i, rng.chance(0.5) ? Lit::kOne : Lit::kZero);
+        Cover f(s);
+        for (int c = 0; c < 9; ++c) {
+            Cube cube = base;
+            for (int t = 0; t < 4; ++t)
+                cube.set_in(s, static_cast<std::uint32_t>(rng.below(n)),
+                            rng.chance(0.5) ? Lit::kOne : Lit::kZero);
+            for (std::uint32_t k = 0; k < m; ++k)
+                if (rng.chance(0.5)) cube.set_out(s, k, true);
+            if (m > 0) cube.set_out(s, static_cast<std::uint32_t>(rng.below(m)), true);
+            f.add(std::move(cube));
+        }
+        ucp::primes::ConsensusStats want_st, got_st;
+        const Cover want = reference_consensus(f, want_st);
+        const Cover got = ucp::primes::primes_by_consensus(f, 1u << 20, &got_st);
+        SCOPED_TRACE(std::to_string(n) + " inputs, " + std::to_string(m) + " outputs");
+        EXPECT_GT(want_st.cubes_added, f.size()) << "no consensus was formed";
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(want[i], got[i]) << "cube " << i;
+        EXPECT_EQ(want_st.consensus_attempts, got_st.consensus_attempts);
+        EXPECT_EQ(want_st.cubes_added, got_st.cubes_added);
+        EXPECT_EQ(want_st.cubes_absorbed, got_st.cubes_absorbed);
+    }
+}
+
+TEST(ExplicitPrimes, ClosureFlushesStatsCounters) {
+    Rng rng(1213);
+    const Cover f = random_cover(rng, 6, 3, 10, 0.5);
+    const auto value = [](const char* name) {
+        return ucp::stats::counter(name).value();
+    };
+    const auto attempts0 = value("primes.consensus_attempts");
+    const auto added0 = value("primes.cubes_added");
+    const auto absorbed0 = value("primes.cubes_absorbed");
+    ucp::primes::ConsensusStats st;
+    (void)ucp::primes::primes_by_consensus(f, 1u << 20, &st);
+    EXPECT_EQ(value("primes.consensus_attempts") - attempts0, st.consensus_attempts);
+    EXPECT_EQ(value("primes.cubes_added") - added0, st.cubes_added);
+    EXPECT_EQ(value("primes.cubes_absorbed") - absorbed0, st.cubes_absorbed);
 }
 
 TEST(ExplicitPrimes, SingleOutputMatchesBruteForce) {

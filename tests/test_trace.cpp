@@ -1,7 +1,8 @@
 // The tracing subsystem (src/util/trace.*): span nesting and ordering under
 // 1 and 4 threads, convergence-channel completeness on a pinned instance,
-// JSONL schema shape, exactly-once fallback instants under fault injection,
-// and the idempotent manager-scoped counter roll-up (flush_stats).
+// JSONL schema shape, exact fixed-point timestamps, exactly-once fallback
+// instants under fault injection, and the idempotent manager-scoped counter
+// roll-up (flush_stats).
 //
 // Tracing state is process-global, so every test arms it in its body and
 // disarms before asserting — the suites here never overlap with each other
@@ -317,6 +318,31 @@ TEST(Trace, JsonlSchema) {
     EXPECT_NE(os.str().find("\"iter\": 3"), std::string::npos);
     EXPECT_NE(os.str().find("\"lb\": 1.5"), std::string::npos);
     EXPECT_NE(os.str().find("\"live_cols\": 20"), std::string::npos);
+}
+
+TEST(Trace, TimestampsAreFixedPointMicroseconds) {
+    // Past one second a default-precision double prints 2.20458e+06 and
+    // spans mis-nest; the exporters write exact fixed-point microseconds.
+    const auto fmt = [](std::uint64_t ns) {
+        std::ostringstream os;
+        trace::write_us(os, ns);
+        return os.str();
+    };
+    EXPECT_EQ(fmt(0), "0.000");
+    EXPECT_EQ(fmt(7), "0.007");
+    EXPECT_EQ(fmt(2'204'581'250), "2204581.250");
+    EXPECT_EQ(fmt(10'000'000'001), "10000000.001");  // 10^7 us
+    for (const std::uint64_t ns :
+         {std::uint64_t{999}, std::uint64_t{10'000'000'000},
+          std::uint64_t{12'345'678'901'234}, std::uint64_t{98'765'432'109'876'543}}) {
+        const std::string text = fmt(ns);
+        const auto dot = text.find('.');
+        ASSERT_NE(dot, std::string::npos) << text;
+        ASSERT_EQ(text.size() - dot, 4u) << text;
+        const std::uint64_t back = std::stoull(text.substr(0, dot)) * 1000 +
+                                   std::stoull(text.substr(dot + 1));
+        EXPECT_EQ(back, ns) << text;
+    }
 }
 
 TEST(Trace, ChromeExportIsSingleJsonObject) {
