@@ -34,6 +34,10 @@ PHASE_SECTIONS = {
     "implicit_primes": "§8",
     "primes.consensus": "§8",
     "table": "§8",
+    "table.primes": "§8",
+    "table.onset_matrix": "§8",
+    "table.onset_build": "§8",
+    "table.onset_walk": "§8",
     "budget": "§9",
     "rwls": "§14",
     "portfolio": "§14",
@@ -233,7 +237,7 @@ def report(stream, out, phases_only=False):
 
 
 SAMPLE = """\
-{"type": "meta", "version": 1, "level": "iter", "spans": 12, "iter_events": 4, "instants": 1, "dropped": 0, "clock": "steady", "time_unit": "us"}
+{"type": "meta", "version": 1, "level": "iter", "spans": 14, "iter_events": 4, "instants": 1, "dropped": 0, "clock": "steady", "time_unit": "us"}
 {"type": "span", "name": "two_level", "tid": 0, "depth": 0, "ts_us": 0.0, "dur_us": 1000.0, "counters": {}}
 {"type": "span", "name": "two_level.build_table", "tid": 0, "depth": 1, "ts_us": 10.0, "dur_us": 200.0, "counters": {"zdd.cache_hits": 50, "zdd.cache_misses": 10}}
 {"type": "span", "name": "implicit_primes", "tid": 0, "depth": 2, "ts_us": 20.0, "dur_us": 150.0, "counters": {"zdd.cache_hits": 40, "zdd.chain_nodes_made": 12, "zdd.chain_hits": 30}}
@@ -251,6 +255,8 @@ SAMPLE = """\
 {"type": "span", "name": "table.primes", "tid": 3, "depth": 1, "ts_us": 2204581.500, "dur_us": 600000.250, "counters": {}}
 {"type": "span", "name": "primes.consensus", "tid": 3, "depth": 2, "ts_us": 2204581.750, "dur_us": 599999.500, "counters": {}}
 {"type": "span", "name": "table.onset_matrix", "tid": 3, "depth": 1, "ts_us": 2804582.000, "dur_us": 299999.000, "counters": {}}
+{"type": "span", "name": "table.onset_build", "tid": 3, "depth": 2, "ts_us": 2804582.500, "dur_us": 100000.000, "counters": {}}
+{"type": "span", "name": "table.onset_walk", "tid": 3, "depth": 2, "ts_us": 2904583.000, "dur_us": 199998.000, "counters": {}}
 """
 
 
@@ -258,7 +264,7 @@ def selftest():
     meta, spans, iters, instants, errors = parse(io.StringIO(SAMPLE))
     assert not errors, errors
     assert meta is not None and meta["version"] == 1
-    assert len(spans) == 12 and len(iters) == 4 and len(instants) == 1
+    assert len(spans) == 14 and len(iters) == 4 and len(instants) == 1
 
     per = self_times(spans)
     # two_level(1000) has children build_table(200) + scg(600) -> self 200.
@@ -276,6 +282,14 @@ def selftest():
     assert abs(per["table.primes"][1] - 0.75) < 1e-6, per["table.primes"]
     assert abs(per["primes.consensus"][1] - 599999.5) < 1e-6
     assert section_of("primes.consensus") == "§8"
+    # table.onset_matrix(299999) splits into onset_build(100000) +
+    # onset_walk(199998) -> self 1.0; both sub-spans are §8.
+    assert abs(per["table.onset_matrix"][1] - 1.0) < 1e-6, per["table.onset_matrix"]
+    assert abs(per["table.onset_build"][1] - 100000.0) < 1e-6
+    assert abs(per["table.onset_walk"][1] - 199998.0) < 1e-6
+    for name in ("table.primes", "table.onset_matrix", "table.onset_build",
+                 "table.onset_walk", "implicit_primes"):
+        assert section_of(name) == "§8", name
     # Leaf spans keep their full duration; other-thread spans don't nest.
     assert abs(per["subgradient"][1] - 400.0) < 1e-6
     assert abs(per["reduce"][1] - 50.0) < 1e-6

@@ -41,10 +41,12 @@ std::vector<zdd::LitSpec> cube_spec(const CubeSpace& s, const Cube& c) {
     return spec;
 }
 
-/// Multi-output primes of the care function, per the chosen method. Under
-/// kAuto a node-budget trip in the implicit generator degrades to the
-/// consensus path (the prime set of a function is canonical, so the columns
-/// are the same either way).
+/// Multi-output primes of the care function, per the chosen method, in the
+/// canonical prime order (explicit_primes.hpp). Under kAuto a node-budget
+/// trip in the implicit generator degrades to the consensus path (the prime
+/// set of a function is canonical and both paths sort it the same way, so
+/// the columns are the same either way). A prime count above max_primes is
+/// not a trip: the closure would reach the same count, so it fails at once.
 Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
                       bool& used_implicit) {
     TRACE_SPAN("table.primes");
@@ -52,37 +54,16 @@ Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
     Cover care = pla.on;
     care.append(pla.dc);
 
-    const bool single_output = s.num_outputs == 1;
-    PrimeMethod method = opt.method;
-    if (method == PrimeMethod::kAuto)
-        method = single_output ? PrimeMethod::kImplicit : PrimeMethod::kConsensus;
-    if (method == PrimeMethod::kImplicit && !single_output)
-        throw BadInputError(
-            "implicit prime generation supports single-output functions only");
-
-    if (method == PrimeMethod::kImplicit) {
+    if (opt.method != PrimeMethod::kConsensus) {
+        bool over_limit = false;
         try {
-            used_implicit = true;
-            ZddManager zmgr(2 * s.num_inputs, opt.dd);
-            const Cover care_in = care.restricted_to_output(0);
-            const auto result = primes::implicit_primes(zmgr, care_in, opt.dd);
-            if (result.prime_count > static_cast<double>(opt.max_primes))
-                throw ResourceError(Status::kNodeBudget,
-                                    "implicit prime count exceeds max_primes");
-            const Cover in_primes =
-                primes::primes_zdd_to_cover(zmgr, result.primes, s.num_inputs);
-
-            // Re-attach the single output.
-            Cover out(s);
-            const CubeSpace in_space{s.num_inputs, 0};
-            for (const auto& c : in_primes) {
-                Cube mc = Cube::full_inputs(s);
-                for (std::uint32_t i = 0; i < s.num_inputs; ++i)
-                    mc.set_in(s, i, c.in(in_space, i));
-                mc.set_out(s, 0, true);
-                out.add(std::move(mc));
+            ZddManager zmgr(2 * (s.num_inputs + s.num_outputs), opt.dd);
+            const auto result = primes::implicit_primes(zmgr, care, opt.dd);
+            over_limit = result.prime_count > static_cast<double>(opt.max_primes);
+            if (!over_limit) {
+                used_implicit = true;
+                return primes::primes_zdd_to_cover(zmgr, result.primes, s);
             }
-            return out;
         } catch (const ResourceError& e) {
             // Graceful degradation: only a node-budget trip under kAuto falls
             // through to consensus — deadline/cancel must propagate, and an
@@ -93,6 +74,9 @@ Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
             stats::counter("budget.zdd_fallbacks").add();
             TRACE_INSTANT("budget.zdd_fallback");
         }
+        if (over_limit)
+            throw ResourceError(Status::kNodeBudget,
+                                "implicit prime count exceeds max_primes");
     }
 
     used_implicit = false;
@@ -420,23 +404,31 @@ OnsetMatrix onset_matrix_implicit(const pla::Pla& pla, const Cover& columns,
         // don't-care are excluded — they need not be covered (Espresso
         // semantics, kept consistent with the baseline minimiser).
         Zdd onset = mgr.empty();
-        for (const auto& c : pla.on) {
-            if (!c.out(s, k)) continue;
-            onset = mgr.union_(onset, zdd::minterms_of_cube(mgr, cube_spec(s, c)));
-        }
-        for (const auto& c : pla.dc) {
-            if (!c.out(s, k)) continue;
-            onset = mgr.diff(onset, zdd::minterms_of_cube(mgr, cube_spec(s, c)));
+        {
+            TRACE_SPAN("table.onset_build");
+            for (const auto& c : pla.on) {
+                if (!c.out(s, k)) continue;
+                onset = mgr.union_(onset,
+                                   zdd::minterms_of_cube(mgr, cube_spec(s, c)));
+            }
+            for (const auto& c : pla.dc) {
+                if (!c.out(s, k)) continue;
+                onset = mgr.diff(onset, zdd::minterms_of_cube(mgr, cube_spec(s, c)));
+            }
         }
         if (onset.is_empty()) continue;
         out.onset_minterms += mgr.count(onset);
 
-        std::vector<Index> cols_k;
-        for (Index j = 0; j < static_cast<Index>(P); ++j)
-            if (columns[j].out(s, k)) cols_k.push_back(j);
-        SignatureWalk walk(mgr, s, columns, std::move(cols_k), max_rows);
-        const auto sigs = walk.run(onset.id());
-        states += walk.states();
+        SignatureWalk::Signatures sigs;
+        {
+            TRACE_SPAN("table.onset_walk");
+            std::vector<Index> cols_k;
+            for (Index j = 0; j < static_cast<Index>(P); ++j)
+                if (columns[j].out(s, k)) cols_k.push_back(j);
+            SignatureWalk walk(mgr, s, columns, std::move(cols_k), max_rows);
+            sigs = walk.run(onset.id());
+            states += walk.states();
+        }
         classes += sigs.size();
 
         for (const auto& sig : sigs) {

@@ -27,10 +27,17 @@
 
 namespace ucp::cover {
 
+/// How the prime columns are generated. Both generators return the same
+/// primes in the same canonical order (explicit_primes.hpp), so the choice
+/// changes time and memory, never the table. kAuto runs the implicit
+/// generator and, if a governed node budget trips mid-flight
+/// (ResourceError with Status::kNodeBudget), falls back to consensus,
+/// recording the switch in "budget.zdd_fallbacks". A prime count above
+/// max_primes fails with kNodeBudget under every method, without fallback.
 enum class PrimeMethod {
-    kAuto,       ///< implicit (BDD→ZDD) for single-output, consensus otherwise
-    kConsensus,  ///< explicit iterated consensus (multi-output capable)
-    kImplicit,   ///< Coudert–Madre implicit primes (single-output only)
+    kAuto,       ///< implicit with graceful consensus fallback
+    kConsensus,  ///< explicit iterated consensus only (the fallback/oracle)
+    kImplicit,   ///< Coudert–Madre implicit primes of χ only (trips propagate)
 };
 
 /// How the signature-class rows are computed. kAuto runs the ZDD signature

@@ -162,10 +162,29 @@ pla::Cover primes_by_consensus(const pla::Cover& care, std::size_t max_primes,
         frontier_start = frontier_end;
     }
 
+    // The surviving set is an antichain under containment: the primes. Emit
+    // them in the canonical order: at the first input where two cubes
+    // differ, 1 < 0 < − (rank = allow0 + (allow0 & allow1)). Distinct primes
+    // never share an input part, so the outputs never decide.
+    const auto canonical_less = [&](std::uint32_t x, std::uint32_t y) {
+        const std::uint64_t* a = cube(x);
+        const std::uint64_t* b = cube(y);
+        for (std::uint32_t w = 0; w < iw; ++w) {
+            const std::uint64_t d = (a[w] ^ b[w]) | (a[iw + w] ^ b[iw + w]);
+            if (d == 0) continue;
+            const std::uint64_t bit = d & (~d + 1);
+            const auto rank = [&](const std::uint64_t* c) {
+                return ((c[w] & bit) != 0) + ((c[w] & c[iw + w] & bit) != 0);
+            };
+            return rank(a) < rank(b);
+        }
+        return false;
+    };
+    std::sort(live.begin(), live.end(), canonical_less);
+
     Cover out(s);
     out.reserve(live.size());
     for (const std::uint32_t i : live) out.add(Cube::from_words(s, cube(i)));
-    // The surviving set is an antichain under containment: the primes.
     return out;
 }
 

@@ -26,6 +26,12 @@ struct ConsensusStats {
 
 /// Computes all prime implicants of the function covered by `care`
 /// (multi-output; for input-only covers pass a cover with m == 0).
+/// The primes come out in the canonical prime order, whatever the order of
+/// the cubes of `care`: compared input by input ascending with 1 < 0 < −.
+/// The order is total on primes: two primes (c, S₁), (c, S₂) sharing an
+/// input part would both lie inside the implicant (c, S₁ ∪ S₂). It is the
+/// enumeration order of the implicit generator's prime ZDD
+/// (implicit_primes.hpp), so both generators yield the same columns.
 /// Throws ResourceError(Status::kNodeBudget) — a std::runtime_error — if more
 /// than `max_primes` cubes are generated. A non-null `governor` is polled
 /// once per frontier cube; its deadline/cancel trips throw ResourceError.

@@ -1,7 +1,9 @@
 #include "primes/implicit_primes.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
+#include "util/stats.hpp"
 #include "util/trace.hpp"
 #include "zdd/zdd_cubes.hpp"
 
@@ -10,41 +12,48 @@ namespace ucp::primes {
 using zdd::BddId;
 using zdd::BddManager;
 using zdd::NodeId;
+using zdd::Var;
 using zdd::Zdd;
 using zdd::ZddManager;
 
-zdd::BddId cover_to_bdd(BddManager& bmgr, const pla::Cover& cover) {
-    const pla::CubeSpace& s = cover.space();
-    UCP_REQUIRE(s.num_outputs == 0, "cover_to_bdd requires an input-only cover");
-    UCP_REQUIRE(s.num_inputs <= bmgr.num_vars(), "BDD manager too small");
+namespace {
 
-    BddId f = bmgr.bfalse();
-    for (const auto& c : cover) {
-        // Build the cube AND from the highest variable down so intermediate
-        // BDDs stay small.
-        BddId cube = bmgr.btrue();
-        for (std::uint32_t i = s.num_inputs; i-- > 0;) {
-            switch (c.in(s, i)) {
-                case pla::Lit::kZero:
-                    cube = bmgr.and_(bmgr.nvar(i), cube);
-                    break;
-                case pla::Lit::kOne:
-                    cube = bmgr.and_(bmgr.var(i), cube);
-                    break;
-                case pla::Lit::kDontCare:
-                    break;
-                case pla::Lit::kEmpty:
-                    cube = bmgr.bfalse();
-                    break;
-            }
-            if (cube == bmgr.bfalse()) break;
+/// The BDD of the input part of `c` (its outputs are ignored).
+BddId cube_to_bdd(BddManager& bmgr, const pla::CubeSpace& s, const pla::Cube& c) {
+    // Build the cube AND from the highest variable down so intermediate
+    // BDDs stay small.
+    BddId cube = bmgr.btrue();
+    for (std::uint32_t i = s.num_inputs; i-- > 0;) {
+        switch (c.in(s, i)) {
+            case pla::Lit::kZero:
+                cube = bmgr.and_(bmgr.nvar(i), cube);
+                break;
+            case pla::Lit::kOne:
+                cube = bmgr.and_(bmgr.var(i), cube);
+                break;
+            case pla::Lit::kDontCare:
+                break;
+            case pla::Lit::kEmpty:
+                return bmgr.bfalse();
         }
-        f = bmgr.or_(f, cube);
     }
-    return f;
+    return cube;
 }
 
-namespace {
+/// χ(x, y) = ∧ₖ (¬yₖ ∨ fₖ(x)) of a cover with outputs, yₖ = variable n+k.
+BddId characteristic_bdd(BddManager& bmgr, const pla::Cover& care) {
+    const pla::CubeSpace& s = care.space();
+    std::vector<BddId> f(s.num_outputs, bmgr.bfalse());
+    for (const auto& c : care) {
+        const BddId cube = cube_to_bdd(bmgr, s, c);
+        for (std::uint32_t k = 0; k < s.num_outputs; ++k)
+            if (c.out(s, k)) f[k] = bmgr.or_(f[k], cube);
+    }
+    BddId chi = bmgr.btrue();
+    for (std::uint32_t k = s.num_outputs; k-- > 0;)
+        chi = bmgr.and_(bmgr.or_(bmgr.nvar(s.num_inputs + k), f[k]), chi);
+    return chi;
+}
 
 class PrimeBuilder {
 public:
@@ -94,47 +103,81 @@ private:
 
 }  // namespace
 
+zdd::BddId cover_to_bdd(BddManager& bmgr, const pla::Cover& cover) {
+    const pla::CubeSpace& s = cover.space();
+    UCP_REQUIRE(s.num_outputs == 0, "cover_to_bdd requires an input-only cover");
+    UCP_REQUIRE(s.num_inputs <= bmgr.num_vars(), "BDD manager too small");
+
+    BddId f = bmgr.bfalse();
+    for (const auto& c : cover) f = bmgr.or_(f, cube_to_bdd(bmgr, s, c));
+    return f;
+}
+
 ImplicitPrimeResult implicit_primes(ZddManager& zmgr, const pla::Cover& care,
                                     const zdd::DdOptions& dd) {
     TRACE_SPAN("implicit_primes");
     const pla::CubeSpace& s = care.space();
-    UCP_REQUIRE(s.num_outputs == 0, "implicit_primes requires an input-only cover");
-    UCP_REQUIRE(2 * s.num_inputs <= zmgr.num_vars(),
-                "ZDD manager needs 2 variables per input");
+    const std::uint32_t vars = s.num_inputs + s.num_outputs;
+    UCP_REQUIRE(2 * vars <= zmgr.num_vars(),
+                "ZDD manager needs 2 variables per input and output");
 
-    BddManager bmgr(s.num_inputs, dd);
-    const BddId f = cover_to_bdd(bmgr, care);
+    ImplicitPrimeResult result;
+    // Folds the call into the stats registry on scope exit, also when the
+    // recursion is abandoned by a throw.
+    struct StatsFlush {
+        const ImplicitPrimeResult& r;
+        ~StatsFlush() {
+            stats::counter("primes.implicit_calls").add();
+            stats::counter("primes.implicit_bdd_nodes").add(r.bdd_nodes);
+            stats::counter("primes.implicit_zdd_nodes").add(r.zdd_nodes);
+        }
+    } flush{result};
+
+    BddManager bmgr(vars, dd);
+    const BddId f = s.num_outputs == 0 ? cover_to_bdd(bmgr, care)
+                                       : characteristic_bdd(bmgr, care);
+    result.bdd_nodes = bmgr.node_count(f);
 
     PrimeBuilder builder(bmgr, zmgr);
     Zdd primes = zmgr.handle(builder.primes(f));
+    if (s.num_outputs > 0) {
+        // Drop the prime ∏ₖ ¬yₖ that asserts no output.
+        std::vector<zdd::LitSpec> none(vars, zdd::LitSpec::kZero);
+        std::fill_n(none.begin(), s.num_inputs, zdd::LitSpec::kDontCare);
+        primes = zmgr.diff(primes, zdd::cube_as_literal_set(zmgr, none));
+    }
 
-    ImplicitPrimeResult result{primes, zmgr.count(primes), zmgr.node_count(primes),
-                               bmgr.size()};
+    result.primes = primes;
+    result.prime_count = zmgr.count(primes);
+    result.zdd_nodes = zmgr.node_count(primes);
     return result;
 }
 
 pla::Cover primes_zdd_to_cover(const ZddManager& zmgr, const Zdd& primes,
-                               std::uint32_t num_inputs) {
-    const pla::CubeSpace in_space{num_inputs, 0};
-    pla::Cover out(in_space);
-    const auto specs = zdd::decode_literal_sets(zmgr, primes, num_inputs);
-    for (const auto& spec : specs) {
-        pla::Cube c = pla::Cube::full_inputs(in_space);
-        for (std::uint32_t i = 0; i < num_inputs; ++i) {
-            switch (spec[i]) {
-                case zdd::LitSpec::kZero:
-                    c.set_in(in_space, i, pla::Lit::kZero);
-                    break;
-                case zdd::LitSpec::kOne:
-                    c.set_in(in_space, i, pla::Lit::kOne);
-                    break;
-                case zdd::LitSpec::kDontCare:
-                    break;
+                               const pla::CubeSpace& s) {
+    const Var first_output = zdd::pos_lit(s.num_inputs);
+    pla::Cover out(s);
+    zmgr.for_each_set(primes, [&](const std::vector<Var>& lits) {
+        pla::Cube c = pla::Cube::full_inputs(s);
+        for (std::uint32_t k = 0; k < s.num_outputs; ++k) c.set_out(s, k, true);
+        for (const Var l : lits) {
+            const std::uint32_t i = zdd::lit_input(l);
+            if (l < first_output) {
+                c.set_in(s, i, zdd::lit_is_positive(l) ? pla::Lit::kOne
+                                                       : pla::Lit::kZero);
+            } else {
+                UCP_ASSERT(!zdd::lit_is_positive(l) && i - s.num_inputs < s.num_outputs);
+                c.set_out(s, i - s.num_inputs, false);
             }
         }
         out.add(std::move(c));
-    }
+    });
     return out;
+}
+
+pla::Cover primes_zdd_to_cover(const ZddManager& zmgr, const Zdd& primes,
+                               std::uint32_t num_inputs) {
+    return primes_zdd_to_cover(zmgr, primes, pla::CubeSpace{num_inputs, 0});
 }
 
 }  // namespace ucp::primes

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "util/stats.hpp"
 #include "util/trace.hpp"
@@ -165,6 +166,19 @@ BddId BddManager::cofactor_rec(BddId f, std::uint32_t v, bool value) {
                          cofactor_rec(nodes_[f].hi, v, value));
     cache_store(key, r);
     return r;
+}
+
+std::size_t BddManager::node_count(BddId f) const {
+    std::unordered_set<BddId> seen;
+    std::vector<BddId> stack{f};
+    while (!stack.empty()) {
+        const BddId n = stack.back();
+        stack.pop_back();
+        if (n < 2 || !seen.insert(n).second) continue;
+        stack.push_back(nodes_[n].lo);
+        stack.push_back(nodes_[n].hi);
+    }
+    return seen.size();
 }
 
 double BddManager::sat_count(BddId f) const {

@@ -61,6 +61,8 @@ public:
     double sat_count(BddId f) const;
     /// Total allocated nodes (a size/debug metric).
     [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+    /// Number of internal nodes reachable from `f` (terminals excluded).
+    [[nodiscard]] std::size_t node_count(BddId f) const;
 
     /// Computed-cache statistics since construction (same shape as the ZDD
     /// manager's; flushed into the stats registry by the destructor).

@@ -52,20 +52,4 @@ std::size_t literal_count(const std::vector<LitSpec>& spec) {
     return n;
 }
 
-std::vector<std::vector<LitSpec>> decode_literal_sets(const ZddManager& mgr,
-                                                      const Zdd& family,
-                                                      std::uint32_t num_inputs) {
-    std::vector<std::vector<LitSpec>> out;
-    mgr.for_each_set(family, [&](const std::vector<Var>& lits) {
-        std::vector<LitSpec> spec(num_inputs, LitSpec::kDontCare);
-        for (const Var l : lits) {
-            const std::uint32_t i = lit_input(l);
-            UCP_ASSERT(i < num_inputs);
-            spec[i] = lit_is_positive(l) ? LitSpec::kOne : LitSpec::kZero;
-        }
-        out.push_back(std::move(spec));
-    });
-    return out;
-}
-
 }  // namespace ucp::zdd

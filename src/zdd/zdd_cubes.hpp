@@ -6,7 +6,9 @@
 //  * Literal encoding (for cube sets / prime sets): input variable i maps to
 //    two ZDD variables, pos_lit(i) = 2i for the positive literal and
 //    neg_lit(i) = 2i+1 for the negative literal. A cube is the set of its
-//    literals; the tautology cube is the empty set.
+//    literals; the tautology cube is the empty set. The implicit prime
+//    generator gives output-selector yₖ the input slot n+k, so a prime's
+//    excluded output k is the literal neg_lit(n+k).
 //
 //  * Minterm encoding (for row sets): one ZDD variable per input variable; a
 //    minterm is the set of input variables assigned 1.
@@ -50,11 +52,5 @@ Zdd minterms_of_cube(ZddManager& mgr, const std::vector<LitSpec>& spec);
 
 /// Number of literals that would be emitted for `spec` (non-don't-care count).
 std::size_t literal_count(const std::vector<LitSpec>& spec);
-
-/// Decodes every literal-set in `family` back into a cube spec vector of
-/// length `num_inputs` (unmentioned inputs become don't-care).
-std::vector<std::vector<LitSpec>> decode_literal_sets(const ZddManager& mgr,
-                                                      const Zdd& family,
-                                                      std::uint32_t num_inputs);
 
 }  // namespace ucp::zdd

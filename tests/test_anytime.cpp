@@ -235,6 +235,26 @@ TEST(Anytime, PrimeLimitOverflowReportsNodeBudget) {
     EXPECT_TRUE(r.cover.empty());
 }
 
+TEST(Anytime, PrimeLimitOverflowSkipsConsensusFallback) {
+    // The prime set is canonical, so a count above max_primes on the implicit
+    // path fails at once instead of rerunning the closure into the same limit.
+    for (const std::uint32_t outputs : {1u, 3u}) {
+        const Pla p = random_pla(4217, 7, outputs, 16);
+        const auto value = [](const char* name) {
+            return ucp::stats::counter(name).value();
+        };
+        const auto fallbacks = value("budget.zdd_fallbacks");
+        const auto attempts = value("primes.consensus_attempts");
+        TwoLevelOptions opt;
+        opt.table.max_primes = 2;
+        const auto r = minimize_two_level(p, opt);
+        SCOPED_TRACE(std::to_string(outputs) + " outputs");
+        EXPECT_EQ(r.status, Status::kNodeBudget);
+        EXPECT_EQ(value("budget.zdd_fallbacks"), fallbacks);
+        EXPECT_EQ(value("primes.consensus_attempts"), attempts);
+    }
+}
+
 // ---- node budget: graceful implicit → explicit fallback ---------------------
 
 TEST(Anytime, NodeBudgetFallbackMatrixIsBitIdentical) {
@@ -260,7 +280,9 @@ TEST(Anytime, NodeBudgetFallbackMatrixIsBitIdentical) {
         const auto after = ucp::stats::counter("budget.zdd_fallbacks").value();
 
         SCOPED_TRACE(p.name);
-        EXPECT_GT(after, before) << "fallback was never taken";
+        // Both DD phases trip and fall back, on one output and on two: the
+        // χ prime generator and the signature walk.
+        EXPECT_EQ(after - before, 2u) << "a fallback was not taken";
         EXPECT_TRUE(gov.node_budget_tripped());
         EXPECT_EQ(gov.status(), Status::kOk)
             << "a node trip must not poison the global deadline status";

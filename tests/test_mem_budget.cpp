@@ -247,6 +247,9 @@ TEST(MemLadder, TightCapDegradesByStages) {
     MemoryBudget mem(256u << 10, nullptr, no_fault());  // 256 KB, very tight
     TwoLevelOptions tl;
     tl.budget.memory = &mem;
+    // 2^16-entry computed caches put the DD managers' footprint above the
+    // cap, so the ladder has something to shed.
+    tl.table.dd.cache_entries = std::size_t{1} << 16;
     const auto r = minimize_two_level(pla, tl);
     EXPECT_TRUE(r.status == Status::kOk ||
                 r.status == Status::kResourceExhausted);

@@ -1,14 +1,19 @@
 // Prime generation: explicit consensus and implicit BDD→ZDD methods validated
 // against a brute-force prime enumerator on small functions, and against each
-// other on larger single-output functions. The consensus closure must also
-// reproduce a test-local reference closure cube for cube.
+// other and the tabular method on larger functions with up to four outputs.
+// Both generators must emit the canonical prime order, and the consensus
+// closure must reproduce a test-local reference closure cube for cube once
+// that is sorted into the same order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "gen/pla_gen.hpp"
 #include "pla/urp.hpp"
 #include "primes/explicit_primes.hpp"
 #include "primes/implicit_primes.hpp"
+#include "util/budget.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -101,10 +106,40 @@ std::set<std::string> cover_strings(const Cover& f) {
     return out;
 }
 
+/// The canonical prime order, spelled out literal by literal: input by input
+/// ascending with 1 < 0 < −.
+Cover canonically_sorted(const Cover& f) {
+    const CubeSpace& s = f.space();
+    const auto rank = [&](const Cube& c, std::uint32_t i) {
+        switch (c.in(s, i)) {
+            case Lit::kOne: return 0;
+            case Lit::kZero: return 1;
+            default: return 2;
+        }
+    };
+    std::vector<Cube> cubes(f.begin(), f.end());
+    std::stable_sort(cubes.begin(), cubes.end(), [&](const Cube& a, const Cube& b) {
+        for (std::uint32_t i = 0; i < s.num_inputs; ++i)
+            if (rank(a, i) != rank(b, i)) return rank(a, i) < rank(b, i);
+        return false;
+    });
+    Cover out(s);
+    for (auto& c : cubes) out.add(std::move(c));
+    return out;
+}
+
+void expect_same_sequence(const Cover& want, const Cover& got) {
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(want[i], got[i]) << "cube " << i << ": "
+                                   << want[i].to_string(want.space()) << " vs "
+                                   << got[i].to_string(got.space());
+}
+
 /// The iterated-consensus closure as first written, one heap-allocated Cube
 /// per working-set entry and two absorption scans per insert: the reference
-/// whose cube sequence and statistics primes_by_consensus must reproduce
-/// exactly (column order feeds the covering solver's tie-breaks).
+/// whose statistics primes_by_consensus must reproduce exactly, and whose
+/// cubes it must return in the canonical order.
 Cover reference_consensus(const Cover& care, ucp::primes::ConsensusStats& st) {
     const CubeSpace& s = care.space();
     std::vector<Cube> cubes;
@@ -154,12 +189,10 @@ TEST(ExplicitPrimes, ClosureMatchesReferenceSequenceAndStats) {
         const Cover f =
             random_cover(rng, n, m, 4 + trial % 11, 0.3 + 0.05 * (trial % 8));
         ucp::primes::ConsensusStats want_st, got_st;
-        const Cover want = reference_consensus(f, want_st);
+        const Cover want = canonically_sorted(reference_consensus(f, want_st));
         const Cover got = ucp::primes::primes_by_consensus(f, 1u << 20, &got_st);
         SCOPED_TRACE(f.to_string());
-        ASSERT_EQ(want.size(), got.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-            EXPECT_EQ(want[i], got[i]) << "cube " << i;
+        expect_same_sequence(want, got);
         EXPECT_EQ(want_st.consensus_attempts, got_st.consensus_attempts);
         EXPECT_EQ(want_st.cubes_added, got_st.cubes_added);
         EXPECT_EQ(want_st.cubes_absorbed, got_st.cubes_absorbed);
@@ -191,16 +224,31 @@ TEST(ExplicitPrimes, ClosureMatchesReferenceAcrossWordBoundaries) {
             f.add(std::move(cube));
         }
         ucp::primes::ConsensusStats want_st, got_st;
-        const Cover want = reference_consensus(f, want_st);
+        const Cover want = canonically_sorted(reference_consensus(f, want_st));
         const Cover got = ucp::primes::primes_by_consensus(f, 1u << 20, &got_st);
         SCOPED_TRACE(std::to_string(n) + " inputs, " + std::to_string(m) + " outputs");
         EXPECT_GT(want_st.cubes_added, f.size()) << "no consensus was formed";
-        ASSERT_EQ(want.size(), got.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-            EXPECT_EQ(want[i], got[i]) << "cube " << i;
+        expect_same_sequence(want, got);
         EXPECT_EQ(want_st.consensus_attempts, got_st.consensus_attempts);
         EXPECT_EQ(want_st.cubes_added, got_st.cubes_added);
         EXPECT_EQ(want_st.cubes_absorbed, got_st.cubes_absorbed);
+    }
+}
+
+TEST(ExplicitPrimes, ClosureOrderIgnoresInputCubeOrder) {
+    Rng rng(1231);
+    for (int trial = 0; trial < 30; ++trial) {
+        const auto n = static_cast<std::uint32_t>(3 + trial % 8);
+        const auto m = static_cast<std::uint32_t>(trial % 5);
+        const Cover f = random_cover(rng, n, m, 6 + trial % 9, 0.4);
+        const Cover want = ucp::primes::primes_by_consensus(f);
+        std::vector<Cube> cubes(f.begin(), f.end());
+        for (std::size_t i = cubes.size(); i > 1; --i)
+            std::swap(cubes[i - 1], cubes[rng.below(i)]);
+        Cover shuffled(f.space());
+        for (auto& c : cubes) shuffled.add(std::move(c));
+        SCOPED_TRACE(f.to_string());
+        expect_same_sequence(want, ucp::primes::primes_by_consensus(shuffled));
     }
 }
 
@@ -339,7 +387,7 @@ TEST(ImplicitPrimes, MatchesExplicitOnRandomFunctions) {
         const Cover decoded =
             ucp::primes::primes_zdd_to_cover(zmgr, imp.primes, 6);
         const Cover exp = ucp::primes::primes_by_consensus(f);
-        EXPECT_EQ(cover_strings(decoded), cover_strings(exp));
+        expect_same_sequence(exp, decoded);
         EXPECT_DOUBLE_EQ(imp.prime_count, static_cast<double>(exp.size()));
     }
 }
@@ -355,6 +403,164 @@ TEST(ImplicitPrimes, TautologyAndEmpty) {
     taut.add(Cube::full_inputs(s));
     const auto pt = ucp::primes::implicit_primes(zmgr, taut);
     EXPECT_TRUE(pt.primes.is_base());  // single prime: the universal cube
+}
+
+/// The multi-output primes of `care` from the tabular method alone: for every
+/// nonempty output set S, the primes c of ∧_{k∈S} f_k whose full output set
+/// {k : c ⊆ f_k} is exactly S, in the canonical order.
+Cover tabular_multi_output_primes(const Cover& care) {
+    const CubeSpace& s = care.space();
+    const CubeSpace in_space{s.num_inputs, 0};
+    const std::uint64_t points = std::uint64_t{1} << s.num_inputs;
+    const auto minterm = [&](std::uint64_t a) {
+        Cube c = Cube::full_inputs(in_space);
+        for (std::uint32_t i = 0; i < s.num_inputs; ++i)
+            c.set_in(in_space, i, ((a >> i) & 1) != 0 ? Lit::kOne : Lit::kZero);
+        return c;
+    };
+    const auto implies = [&](const Cube& c, std::uint32_t k) {
+        for (std::uint64_t a = 0; a < points; ++a)
+            if (c.covers_assignment(in_space, {a}) && !care.eval({a}, k)) return false;
+        return true;
+    };
+    Cover out(s);
+    for (std::uint32_t set = 1; set < (1u << s.num_outputs); ++set) {
+        Cover f_set(in_space);
+        for (std::uint64_t a = 0; a < points; ++a) {
+            bool all = true;
+            for (std::uint32_t k = 0; k < s.num_outputs && all; ++k)
+                if ((set >> k) & 1) all = care.eval({a}, k);
+            if (all) f_set.add(minterm(a));
+        }
+        for (const auto& c : ucp::primes::primes_by_tabular(f_set)) {
+            std::uint32_t support = 0;
+            for (std::uint32_t k = 0; k < s.num_outputs; ++k)
+                if (implies(c, k)) support |= 1u << k;
+            if (support != set) continue;
+            Cube mc = Cube::full_inputs(s);
+            for (std::uint32_t i = 0; i < s.num_inputs; ++i)
+                mc.set_in(s, i, c.in(in_space, i));
+            for (std::uint32_t k = 0; k < s.num_outputs; ++k)
+                mc.set_out(s, k, ((set >> k) & 1) != 0);
+            out.add(std::move(mc));
+        }
+    }
+    return canonically_sorted(out);
+}
+
+/// Primes of `care` through the characteristic function χ.
+Cover chi_primes(const Cover& care, const ucp::zdd::DdOptions& dd = {}) {
+    const CubeSpace& s = care.space();
+    ucp::zdd::ZddManager zmgr(2 * (s.num_inputs + s.num_outputs), dd);
+    const auto r = ucp::primes::implicit_primes(zmgr, care, dd);
+    Cover out = ucp::primes::primes_zdd_to_cover(zmgr, r.primes, s);
+    EXPECT_DOUBLE_EQ(r.prime_count, static_cast<double>(out.size()));
+    return out;
+}
+
+TEST(ImplicitPrimes, CharacteristicFunctionMatchesConsensusAndTabular) {
+    ucp::zdd::DdOptions chain, plain, tiny;
+    chain.chain_nodes = true;
+    plain.chain_nodes = false;
+    tiny.cache_entries = 16;
+    ucp::Rng seeds(1237);
+    for (int trial = 0; trial < 32; ++trial) {
+        ucp::gen::RandomPlaOptions opt;
+        opt.num_inputs = 3 + static_cast<std::uint32_t>(trial % 8);   // 3..10
+        opt.num_outputs = 1 + static_cast<std::uint32_t>(trial % 4);  // 1..4
+        opt.num_cubes = 5 + static_cast<std::uint32_t>(trial % 11);
+        opt.literal_prob = 0.35 + 0.05 * (trial % 7);
+        opt.dc_fraction = trial % 3 == 0 ? 0.0 : 0.25;
+        opt.seed = seeds();
+        const ucp::pla::Pla p = ucp::gen::random_pla(opt);
+        Cover care = p.on;
+        care.append(p.dc);
+        SCOPED_TRACE(p.name + " trial " + std::to_string(trial));
+
+        const Cover want = tabular_multi_output_primes(care);
+        // The order is total: no two primes share an input part.
+        const CubeSpace in_space{care.space().num_inputs, 0};
+        const auto inputs = [&](const Cube& c) {
+            Cube ic = Cube::full_inputs(in_space);
+            for (std::uint32_t i = 0; i < in_space.num_inputs; ++i)
+                ic.set_in(in_space, i, c.in(care.space(), i));
+            return ic;
+        };
+        for (std::size_t j = 1; j < want.size(); ++j)
+            EXPECT_FALSE(inputs(want[j - 1]) == inputs(want[j])) << "prime " << j;
+        expect_same_sequence(want, ucp::primes::primes_by_consensus(care));
+        for (const auto& [name, dd] : {std::pair{"chain", chain},
+                                       std::pair{"plain", plain},
+                                       std::pair{"tiny-cache", tiny}}) {
+            SCOPED_TRACE(name);
+            expect_same_sequence(want, chi_primes(care, dd));
+        }
+    }
+}
+
+TEST(ImplicitPrimes, CharacteristicFunctionEdgeCases) {
+    const CubeSpace s{3, 2};
+    // No on-set: χ = ¬y0·¬y1, whose one prime asserts no output and is dropped.
+    EXPECT_TRUE(chi_primes(Cover(s)).empty());
+    // One tautological output: its universal cube, nothing for the other.
+    const Cover one = Cover::from_strings(s, {{"---", "01"}});
+    EXPECT_EQ(cover_strings(chi_primes(one)), (std::set<std::string>{"--- 01"}));
+    // Both tautological: one prime asserting both.
+    const Cover both = Cover::from_strings(s, {{"---", "11"}});
+    EXPECT_EQ(cover_strings(chi_primes(both)), (std::set<std::string>{"--- 11"}));
+    // Overlapping but incomparable output sets merge (the consensus path's
+    // output-part consensus regression).
+    const CubeSpace s3{2, 3};
+    const Cover f = Cover::from_strings(s3, {{"--", "011"}, {"--", "110"}});
+    EXPECT_EQ(cover_strings(chi_primes(f)), (std::set<std::string>{"-- 111"}));
+}
+
+TEST(ImplicitPrimes, GovernorStopsCharacteristicPath) {
+    const ucp::pla::Pla p = [] {
+        ucp::gen::RandomPlaOptions opt;
+        opt.num_inputs = 7;
+        opt.num_outputs = 3;
+        opt.num_cubes = 16;
+        opt.seed = 4219;
+        return ucp::gen::random_pla(opt);
+    }();
+    Cover care = p.on;
+    care.append(p.dc);
+    ucp::CancelToken cancel;
+    cancel.cancel();
+    ucp::Budget cancelled(ucp::BudgetOptions{}, &cancel);
+    ucp::BudgetOptions dopt;
+    dopt.deadline_seconds = 1e-9;  // expired by the first poll
+    ucp::Budget expired(dopt);
+    for (auto [gov, want] : {std::pair{&cancelled, ucp::Status::kCancelled},
+                             std::pair{&expired, ucp::Status::kDeadline}}) {
+        ucp::zdd::DdOptions dd;
+        dd.governor = gov;
+        try {
+            (void)chi_primes(care, dd);
+            ADD_FAILURE() << "the χ path ignored a tripped governor";
+        } catch (const ucp::ResourceError& e) {
+            EXPECT_EQ(e.status(), want);
+        }
+    }
+}
+
+TEST(ImplicitPrimes, FlushesWorkCounters) {
+    Rng rng(1249);
+    const Cover f = random_cover(rng, 6, 3, 10, 0.5);
+    const auto value = [](const char* name) {
+        return ucp::stats::counter(name).value();
+    };
+    const auto calls0 = value("primes.implicit_calls");
+    const auto bdd0 = value("primes.implicit_bdd_nodes");
+    const auto zdd0 = value("primes.implicit_zdd_nodes");
+    ucp::zdd::ZddManager zmgr(2 * (6 + 3));
+    const auto r = ucp::primes::implicit_primes(zmgr, f);
+    EXPECT_EQ(value("primes.implicit_calls") - calls0, 1u);
+    EXPECT_EQ(value("primes.implicit_bdd_nodes") - bdd0, r.bdd_nodes);
+    EXPECT_EQ(value("primes.implicit_zdd_nodes") - zdd0, r.zdd_nodes);
+    EXPECT_GT(r.bdd_nodes, 0u);
+    EXPECT_EQ(r.zdd_nodes, zmgr.node_count(r.primes));
 }
 
 TEST(ImplicitPrimes, CoverToBddRejectsOutputs) {

@@ -106,11 +106,27 @@ TEST(TableBuilder, ImplicitAndConsensusAgreeSingleOutput) {
     }
 }
 
-TEST(TableBuilder, ImplicitRejectsMultiOutput) {
-    const Pla p = random_pla(1, 5, 2);
-    TableBuildOptions opt;
-    opt.method = PrimeMethod::kImplicit;
-    EXPECT_THROW(build_covering_table(p, opt), std::invalid_argument);
+TEST(TableBuilder, ImplicitAndConsensusAgreeMultiOutput) {
+    // Both generators emit the canonical prime order, so the columns and the
+    // matrix are the same whichever one runs.
+    ucp::Rng seeds(85);
+    for (int trial = 0; trial < 12; ++trial) {
+        const Pla p = random_pla(seeds(), 5 + trial % 4, 2 + trial % 3);
+        TableBuildOptions a, b;
+        a.method = PrimeMethod::kImplicit;
+        b.method = PrimeMethod::kConsensus;
+        const CoveringTable ta = build_covering_table(p, a);
+        const CoveringTable tb = build_covering_table(p, b);
+        SCOPED_TRACE(p.name);
+        EXPECT_TRUE(ta.used_implicit_primes);
+        EXPECT_FALSE(tb.used_implicit_primes);
+        ASSERT_EQ(ta.primes.size(), tb.primes.size());
+        for (std::size_t j = 0; j < ta.primes.size(); ++j)
+            EXPECT_EQ(ta.primes[j], tb.primes[j]) << "column " << j;
+        ASSERT_EQ(ta.matrix.num_rows(), tb.matrix.num_rows());
+        for (Index i = 0; i < ta.matrix.num_rows(); ++i)
+            EXPECT_EQ(ta.matrix.row(i), tb.matrix.row(i)) << "row " << i;
+    }
 }
 
 TEST(TableBuilder, EssentialPrimesDetected) {
