@@ -45,9 +45,10 @@ inline double peak_rss_mb() {
     return 0.0;
 }
 
-/// Machine-readable benchmark output: pass argc/argv and a bench name, call
-/// record() once per instance, and — when the binary was invoked with
-/// `--json[=path]` — the destructor writes a JSON document
+/// Machine-readable benchmark output: pass argc/argv, a bench name and the
+/// flags the binary parses itself, call record() once per instance, and —
+/// when the binary was invoked with `--json[=path]` — the destructor writes
+/// a JSON document
 ///
 ///   {"bench": "...", "threads": N, "records": [
 ///      {"instance": "...", "cost": c, "wall_ms": t, ..., "counters": {...}},
@@ -59,9 +60,11 @@ inline double peak_rss_mb() {
 /// is self-contained and the perf trajectory can be tracked across commits.
 class JsonReporter {
 public:
-    JsonReporter(int argc, const char* const* argv, std::string bench_name)
+    JsonReporter(int argc, const char* const* argv, std::string bench_name,
+                 const std::vector<std::string>& extra_flags = {})
         : bench_(std::move(bench_name)), baseline_(stats::snapshot()) {
         const Options opts(argc, argv);
+        check_flags(opts, extra_flags);
         if (opts.has("json")) {
             path_ = opts.get("json");
             if (path_.empty() || path_ == "true")
@@ -169,6 +172,27 @@ public:
     }
 
 private:
+    /// `--help` prints the accepted flags (the ones parsed here plus the
+    /// binary's `extra_flags`) and exits 0; any other flag is a typo,
+    /// reported with the same list, exit 2. Both happen before the first
+    /// solve, so neither writes a JSON file.
+    void check_flags(const Options& opts,
+                     const std::vector<std::string>& extra_flags) const {
+        std::vector<std::string> accepted{
+            "help",  "json",        "threads",      "starts",       "min-of",
+            "trace", "trace-level", "trace-format", "mem-budget-mb"};
+        accepted.insert(accepted.end(), extra_flags.begin(), extra_flags.end());
+        const std::vector<std::string> unknown = opts.unknown(accepted);
+        if (unknown.empty() && !opts.has("help")) return;
+        std::ostream& os = unknown.empty() ? std::cout : std::cerr;
+        for (const auto& k : unknown)
+            os << "bench_" << bench_ << ": unknown option --" << k << '\n';
+        os << "usage: bench_" << bench_ << " [options]\naccepted options:";
+        for (const auto& k : accepted) os << " --" << k;
+        os << '\n';
+        std::exit(unknown.empty() ? 0 : 2);
+    }
+
     struct Record {
         std::string instance;
         double cost = 0.0;

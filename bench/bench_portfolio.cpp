@@ -20,9 +20,9 @@
 int main(int argc, char** argv) {
     using ucp::TextTable;
     using ucp::cov::Cost;
-    ucp::bench::JsonReporter json(argc, argv, "portfolio");
-    const ucp::Options opts(argc, argv);
-    const long deadline_ms = opts.get_int("deadline-ms", 0);
+    ucp::bench::JsonReporter json(argc, argv, "portfolio", {"deadline-ms"});
+    const long deadline_ms =
+        ucp::Options(argc, argv).get_int("deadline-ms", 0);
 
     ucp::bench::print_header(
         "Unicost SCP — SCG alone vs RWLS alone vs portfolio",
@@ -117,6 +117,6 @@ int main(int argc, char** argv) {
     std::cout << "\nportfolio strictly better than SCG alone on "
               << strictly_better << " instances\n"
               << "(phase: 1 = SCG leg won outright, 2 = RWLS polish improved "
-                 "it,\n 3 = the warm SCG re-seed improved it again)\n";
+                 "it)\n";
     return portfolio_lost ? 1 : 0;
 }

@@ -6,7 +6,8 @@
 
 int main(int argc, char** argv) {
     using ucp::TextTable;
-    ucp::bench::JsonReporter json(argc, argv, "table2_challenging");
+    ucp::bench::JsonReporter json(argc, argv, "table2_challenging",
+                                  {"no-espresso"});
     ucp::bench::print_header(
         "Table 2 — challenging problems",
         "Paper: 11 of 16 instances proved optimal; big wins on ex1010\n"

@@ -123,6 +123,7 @@ private:
         const std::size_t cols = m_.num_cols();
         rwls_fit(ws_.weight, rows);
         rwls_fit(ws_.cover_count, rows);
+        rwls_fit(ws_.cover_xor, rows);
         rwls_fit(ws_.uncovered_pos, rows);
         rwls_fit(ws_.score, cols);
         rwls_fit(ws_.in_solution, cols);
@@ -136,6 +137,7 @@ private:
         for (std::size_t i = 0; i < rows; ++i) {
             ws_.weight[i] = 1;
             ws_.cover_count[i] = 0;
+            ws_.cover_xor[i] = 0;
             ws_.uncovered_pos[i] = kNone;
             if (m_.row_alive(static_cast<Index>(i)))
                 uncovered_add(static_cast<Index>(i));
@@ -180,8 +182,8 @@ private:
     /// Adds column v to the candidate. Scores stay exact: columns covering a
     /// newly-covered row lose that row's weight from their gain; a row going
     /// from one to two coverers releases its weight from the old unique
-    /// coverer's loss; v's own loss is the weight of the rows it now covers
-    /// alone.
+    /// coverer's loss (that coverer is the row's XOR before v joins it); v's
+    /// own loss is the weight of the rows it now covers alone.
     void add_col(Index v) {
         UCP_ASSERT(ws_.in_solution[v] == 0);
         std::int64_t loss_v = 0;
@@ -196,13 +198,9 @@ private:
                     if (ws_.in_solution[j2] == 0) ws_.score[j2] -= ws_.weight[i];
                 }
             } else if (old == 1) {
-                for (const Index j2 : m_.row(i)) {
-                    if (ws_.in_solution[j2] != 0) {
-                        ws_.score[j2] += ws_.weight[i];
-                        break;
-                    }
-                }
+                ws_.score[ws_.cover_xor[i]] += ws_.weight[i];
             }
+            ws_.cover_xor[i] ^= v;
         }
         ws_.in_solution[v] = 1;
         ws_.score[v] = -loss_v;
@@ -212,7 +210,9 @@ private:
     }
 
     /// Removes column u. The mirror image of add_col; u's score flips sign in
-    /// place (its loss rows are exactly the rows it now gains).
+    /// place (its loss rows are exactly the rows it now gains), and a row
+    /// left with one coverer charges its weight to the survivor, which is
+    /// the row's XOR once u is folded out.
     void remove_col(Index u) {
         UCP_ASSERT(ws_.in_solution[u] != 0);
         ws_.in_solution[u] = 0;
@@ -226,6 +226,7 @@ private:
         for (const Index i : m_.col(u)) {
             if (!m_.row_alive(i)) continue;
             const Index old = ws_.cover_count[i]--;
+            ws_.cover_xor[i] ^= u;
             if (old == 1) {
                 uncovered_add(i);
                 for (const Index j2 : m_.row(i)) {
@@ -233,12 +234,7 @@ private:
                     if (ws_.in_solution[j2] == 0) ws_.score[j2] += ws_.weight[i];
                 }
             } else if (old == 2) {
-                for (const Index j2 : m_.row(i)) {
-                    if (ws_.in_solution[j2] != 0) {
-                        ws_.score[j2] -= ws_.weight[i];
-                        break;
-                    }
-                }
+                ws_.score[ws_.cover_xor[i]] -= ws_.weight[i];
             }
         }
         cur_cost_ -= m_.cost(u);
@@ -341,14 +337,20 @@ private:
     }
 
     // ---- differential audit -------------------------------------------------
-    /// Recomputes every score from scratch and returns the number of columns
-    /// whose incremental score disagrees. 0 is the invariant.
+    /// Recomputes every score and every live row's cover-set XOR from
+    /// scratch and returns the number of columns whose incremental score
+    /// disagrees plus the number of rows whose XOR does. 0 is the invariant.
     [[nodiscard]] std::uint64_t audit_scores() {
         rwls_fit(ws_.audit_score, m_.num_cols());
         std::fill(ws_.audit_score.begin(), ws_.audit_score.end(),
                   std::int64_t{0});
+        std::uint64_t mismatches = 0;
         for (Index i = 0; i < m_.num_rows(); ++i) {
             if (!m_.row_alive(i)) continue;
+            Index xor_i = 0;
+            for (const Index j : m_.row(i))
+                if (ws_.in_solution[j] != 0) xor_i ^= j;
+            if (xor_i != ws_.cover_xor[i]) ++mismatches;
             if (ws_.cover_count[i] == 0) {
                 for (const Index j : m_.row(i)) {
                     if (!m_.col_alive(j) || ws_.in_solution[j] != 0) continue;
@@ -363,7 +365,6 @@ private:
                 }
             }
         }
-        std::uint64_t mismatches = 0;
         for (Index j = 0; j < m_.num_cols(); ++j)
             if (m_.col_alive(j) && ws_.audit_score[j] != ws_.score[j])
                 ++mismatches;

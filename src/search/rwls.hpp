@@ -16,6 +16,10 @@
 //     ≤ 0). Scores are maintained incrementally under add/remove/reweight —
 //     never recomputed — and `RwlsOptions::audit_every` cross-checks the
 //     invariant against a from-scratch recompute in the tests;
+//   * every row i carries the XOR of the solution columns covering it, so a
+//     row with one coverer names that coverer in O(1) — the score updates
+//     on a row's 1↔2 coverage transitions need no scan of the row (the
+//     audit recomputes this invariant too);
 //   * a step removes the least-useful solution column (highest score), picks
 //     a random uncovered row and adds the best non-tabu column covering it
 //     (highest score per unit cost); the removed column is tabu for
@@ -64,8 +68,9 @@ struct RwlsOptions {
     /// Stop as soon as the incumbent reaches this bound (it is provably
     /// optimal then). 0 with positive costs never triggers.
     cov::Cost target_lower_bound = 0;
-    /// Debug/differential-test hook: every N steps recompute every score from
-    /// scratch and count disagreements in RwlsResult::audit_mismatches.
+    /// Debug/differential-test hook: every N steps recompute every score and
+    /// row cover-set XOR from scratch and count disagreements in
+    /// RwlsResult::audit_mismatches.
     /// 0 = off (the production setting; audits allocate nothing but cost a
     /// full O(nnz) sweep).
     std::uint64_t audit_every = 0;
@@ -97,6 +102,10 @@ struct RwlsResult {
 struct RwlsWorkspace {
     std::vector<std::int64_t> weight;       ///< per row: penalty weight w_i
     std::vector<cov::Index> cover_count;    ///< per row: |solution ∩ row(i)|
+    /// per row: XOR of the solution columns covering it (0 when uncovered).
+    /// With cover_count[i] == 1 this is the row's unique coverer, which the
+    /// 1↔2 coverage transitions read in O(1) instead of scanning row(i).
+    std::vector<cov::Index> cover_xor;
     std::vector<std::int64_t> score;        ///< per col: gain (out) / −loss (in)
     std::vector<char> in_solution;          ///< per col
     std::vector<std::uint64_t> tabu_until;  ///< per col: first non-tabu step
@@ -112,9 +121,10 @@ struct RwlsWorkspace {
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
         return (weight.capacity() + score.capacity() +
                 audit_score.capacity()) * sizeof(std::int64_t) +
-               (cover_count.capacity() + solution.capacity() +
-                solution_pos.capacity() + uncovered.capacity() +
-                uncovered_pos.capacity() + best.capacity()) * sizeof(cov::Index) +
+               (cover_count.capacity() + cover_xor.capacity() +
+                solution.capacity() + solution_pos.capacity() +
+                uncovered.capacity() + uncovered_pos.capacity() +
+                best.capacity()) * sizeof(cov::Index) +
                in_solution.capacity() * sizeof(char) +
                (tabu_until.capacity() + stamp.capacity()) * sizeof(std::uint64_t);
     }

@@ -139,24 +139,6 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
         }
     }
 
-    // ---- phase 3: SCG re-seed (RWLS → Lagrangian fixing rule) --------------
-    if (opt.reseed_scg && out.winner_phase == 2 &&
-        out.cost > out.lower_bound && !tripped()) {
-        c_cross.add();
-        ScgOptions reseed_opt = scg_opt;
-        reseed_opt.warm_solution = out.solution;
-        const ScgResult reseed = solve_scg(m, reseed_opt);
-        merge_status(reseed.status);
-        out.lower_bound = std::max(out.lower_bound, reseed.lower_bound);
-        if (reseed.cost < out.cost) {
-            out.cost = reseed.cost;
-            out.solution = reseed.solution;
-            out.winner_phase = 3;
-        }
-        TRACE_ITER("portfolio", 3, static_cast<double>(out.lower_bound),
-                   static_cast<double>(out.cost), 0.0, 0, 0, 0.0);
-    }
-
     // ---- phase 4: exact finish (incumbent → BnB) ---------------------------
     if (opt.finish_exact && out.cost > out.lower_bound && !tripped()) {
         c_cross.add();

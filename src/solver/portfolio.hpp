@@ -11,12 +11,14 @@
 //      ThreadPool, every task seeded from the best SCG cover (cross-seed
 //      SCG → RWLS) with its own SplitMix64 seed stream and its own fork() of
 //      the governor; results reduce by (cost, task index);
-//   3. SCG re-seed — when RWLS improved the incumbent, one more SCG solve
-//      warm-started with it (cross-seed RWLS → the Lagrangian fixing rule,
-//      via ScgOptions::warm_solution);
 //   4. optional exact finish — branch-and-bound warm-started with the best
 //      cover so far (cross-seed RWLS → the BnB incumbent, via
 //      BnbOptions::warm_solution).
+//
+// Phase 3, a second SCG solve warm-seeded with the RWLS cover, is retired: it
+// never improved a cover and cannot raise the bound (DESIGN.md §14.2). The
+// numbering is kept so `winner_phase` and the `portfolio` trace channel keep
+// their meaning.
 //
 // Each later phase replaces the incumbent only when strictly better, and the
 // lower bound is the max over phases, so the anytime contract holds: a
@@ -47,10 +49,6 @@ struct PortfolioOptions {
     /// (ThreadPool::default_threads()), 1 = serial. Results are bit-identical
     /// for every value.
     int num_threads = 0;
-    /// Phase 3: re-run SCG warm-seeded with the RWLS incumbent when RWLS
-    /// improved on phase 1 (the tightened target makes the penalty tests fix
-    /// more columns — often closing the gap outright).
-    bool reseed_scg = true;
     /// Phase 4: finish with branch-and-bound warm-started from the portfolio
     /// incumbent. Off by default — exactness costs exponential time on hard
     /// cores; the portfolio is a heuristic first.
@@ -69,8 +67,8 @@ struct PortfolioResult {
     cov::Cost cost = 0;
     cov::Cost lower_bound = 0;  ///< max over phases (each is globally valid)
     bool proved_optimal = false;
-    /// Which phase produced `solution`: 1 = SCG, 2 = RWLS polish, 3 = SCG
-    /// re-seed, 4 = exact finish.
+    /// Which phase produced `solution`: 1 = SCG, 2 = RWLS polish, 4 = exact
+    /// finish (3, the SCG re-seed, is retired and never reported).
     int winner_phase = 1;
     int rwls_task_of_best = -1;  ///< winning polish task, -1 when phase 2 lost
     cov::Cost scg_cost = 0;      ///< phase-1 cost (the SCG-alone answer)

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -50,6 +51,15 @@ std::vector<std::string> Options::keys() const {
     std::vector<std::string> out;
     out.reserve(values_.size());
     for (const auto& [k, _] : values_) out.push_back(k);
+    return out;
+}
+
+std::vector<std::string> Options::unknown(
+    const std::vector<std::string>& accepted) const {
+    std::vector<std::string> out;
+    for (const auto& [k, _] : values_)
+        if (std::find(accepted.begin(), accepted.end(), k) == accepted.end())
+            out.push_back(k);
     return out;
 }
 

@@ -1,7 +1,8 @@
 // Minimal command-line option parser for examples and benchmark binaries.
 //
 // Syntax: "--key=value", "--flag" (boolean true) and bare positional arguments.
-// Unknown options are kept and can be listed, so binaries can warn about typos.
+// Unknown options are kept and can be listed, so binaries can reject typos
+// (`unknown` returns the keys outside the set a binary accepts).
 #pragma once
 
 #include <map>
@@ -30,6 +31,11 @@ public:
 
     /// All option keys that were present on the command line.
     [[nodiscard]] std::vector<std::string> keys() const;
+
+    /// Option keys present on the command line that are not in `accepted`,
+    /// in sorted order (empty when every option is known).
+    [[nodiscard]] std::vector<std::string> unknown(
+        const std::vector<std::string>& accepted) const;
 
 private:
     std::map<std::string, std::string> values_;

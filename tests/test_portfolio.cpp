@@ -1,13 +1,14 @@
-// Portfolio solver: never worse than SCG alone at the same options,
-// bit-identical results across thread counts, both cross-seeding hooks
-// (warm_solution into SCG and BnB), and the anytime contract under a
-// governor.
+// Portfolio solver: never worse than SCG alone at the same options, one SCG
+// solve per call, bit-identical results across thread counts, both
+// cross-seeding hooks (warm_solution into SCG and BnB), and the anytime
+// contract under a governor.
 #include <gtest/gtest.h>
 
 #include "gen/scp_gen.hpp"
 #include "gen/suites.hpp"
 #include "solver/portfolio.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -54,6 +55,44 @@ TEST(Portfolio, NeverWorseThanScgAlone) {
         EXPECT_EQ(r.scg_cost, scg.cost);
         EXPECT_GE(r.lower_bound, scg.lower_bound);
     }
+}
+
+TEST(Portfolio, RunsScgOncePerSolve) {
+    // bench_portfolio's settings. On u300x100k4 the RWLS polish beats the
+    // SCG cover (phase 2 wins), which is the case the retired re-seed phase
+    // used to follow with a second SCG solve.
+    PortfolioOptions opt;
+    opt.scg.num_iter = 2;
+    opt.scg.num_starts = 1;
+    opt.rwls_tasks = 4;
+    opt.rwls.max_steps = 30'000;
+    opt.num_threads = 1;
+    auto& scg_calls = ucp::stats::counter("scg.calls");
+    auto& cross_seeds = ucp::stats::counter("portfolio.cross_seeds");
+    auto& polish_wins = ucp::stats::counter("portfolio.polish_wins");
+    bool saw_phase2 = false;
+    for (const auto& entry : ucp::gen::unicost_suite()) {
+        if (entry.name != "u120x60k3" && entry.name != "u200x80k3" &&
+            entry.name != "u300x100k4")
+            continue;
+        const std::uint64_t calls0 = scg_calls.value();
+        const std::uint64_t cross0 = cross_seeds.value();
+        const std::uint64_t wins0 = polish_wins.value();
+        const PortfolioResult r = solve_portfolio(entry.matrix, opt);
+        ASSERT_TRUE(entry.matrix.is_feasible(r.solution)) << entry.name;
+        EXPECT_EQ(scg_calls.value() - calls0, 1u) << entry.name;
+        EXPECT_EQ(cross_seeds.value(), cross0) << entry.name;
+        EXPECT_TRUE(r.winner_phase == 1 || r.winner_phase == 2) << entry.name;
+        EXPECT_EQ(polish_wins.value() - wins0, r.winner_phase == 2 ? 1u : 0u)
+            << entry.name;
+        EXPECT_FALSE(r.exact_ran);
+        if (entry.name == "u300x100k4") {
+            EXPECT_EQ(r.winner_phase, 2);
+            EXPECT_LT(r.cost, r.scg_cost);
+            saw_phase2 = true;
+        }
+    }
+    EXPECT_TRUE(saw_phase2);
 }
 
 TEST(Portfolio, DeterministicAcrossThreadCounts) {

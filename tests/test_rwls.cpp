@@ -1,12 +1,13 @@
-// RWLS invariants: the incremental score maintenance against a from-scratch
-// recompute (differential audit), the allocation-free workspace pin,
-// feasibility under Budget truncation, determinism, warm starts, and the
-// SubMatrix live-view overload.
+// RWLS invariants: the incremental score and cover-set XOR maintenance
+// against a from-scratch recompute (differential audit), one pinned search
+// trajectory, the allocation-free workspace pin, feasibility under Budget
+// truncation, determinism, warm starts, and the SubMatrix live-view overload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "gen/scp_gen.hpp"
+#include "gen/suites.hpp"
 #include "matrix/reductions.hpp"
 #include "matrix/sub_matrix.hpp"
 #include "search/rwls.hpp"
@@ -228,6 +229,31 @@ TEST(Rwls, SubMatrixAuditHolds) {
     const RwlsResult r = rwls_improve(view, opt, ws);
     EXPECT_EQ(r.audit_mismatches, 0u);
     EXPECT_TRUE(view.is_feasible(r.solution));
+}
+
+TEST(Rwls, TrajectoryPinned) {
+    const auto suite = ucp::gen::unicost_suite();
+    const auto it = std::find_if(suite.begin(), suite.end(), [](const auto& e) {
+        return e.name == "u300x100k4";
+    });
+    ASSERT_NE(it, suite.end());
+    const auto red = ucp::cov::reduce(it->matrix);
+    ASSERT_FALSE(red.solved());
+    RwlsOptions opt;
+    opt.seed = 0x7a7;
+    opt.max_steps = 20000;
+    opt.initial = ucp::solver::chvatal_greedy(red.core).solution;
+    const RwlsResult r = rwls_improve(red.core, opt);
+    // Recorded from the row-scanning engine that predates the cover-set
+    // XOR: the O(1) co-coverer lookup must replay the same search exactly.
+    EXPECT_EQ(r.cost, 36);
+    EXPECT_EQ(r.steps, 20000u);
+    EXPECT_EQ(r.improvements, 3u);
+    const std::vector<Index> pinned{0,  2,  3,  6,  7,  14, 15, 17, 18,
+                                    20, 23, 24, 26, 30, 34, 36, 41, 43,
+                                    46, 50, 55, 59, 63, 65, 67, 68, 70,
+                                    72, 73, 75, 80, 87, 89, 90, 92, 95};
+    EXPECT_EQ(r.solution, pinned);
 }
 
 }  // namespace

@@ -101,6 +101,18 @@ TEST(Options, ParsesFlagsValuesAndPositionals) {
     EXPECT_EQ(o.keys().size(), 4u);
 }
 
+TEST(Options, UnknownListsKeysOutsideTheAcceptedSet) {
+    const char* argv[] = {"prog", "--json", "--trheads=2", "pos", "--help",
+                          "--threads=4"};
+    const Options o(6, argv);
+    EXPECT_EQ(o.unknown({"json", "threads", "help"}),
+              std::vector<std::string>{"trheads"});
+    EXPECT_EQ(o.unknown({}),
+              (std::vector<std::string>{"help", "json", "threads", "trheads"}));
+    EXPECT_TRUE(o.unknown({"help", "json", "threads", "trheads", "x"}).empty());
+    EXPECT_TRUE(Options().unknown({}).empty());
+}
+
 TEST(TextTable, AlignsColumns) {
     TextTable t({"Name", "Sol", "T(s)"});
     t.add_row({"bench1", "121", "14.26"});
