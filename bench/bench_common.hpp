@@ -182,15 +182,8 @@ private:
             "help",  "json",        "threads",      "starts",       "min-of",
             "trace", "trace-level", "trace-format", "mem-budget-mb"};
         accepted.insert(accepted.end(), extra_flags.begin(), extra_flags.end());
-        const std::vector<std::string> unknown = opts.unknown(accepted);
-        if (unknown.empty() && !opts.has("help")) return;
-        std::ostream& os = unknown.empty() ? std::cout : std::cerr;
-        for (const auto& k : unknown)
-            os << "bench_" << bench_ << ": unknown option --" << k << '\n';
-        os << "usage: bench_" << bench_ << " [options]\naccepted options:";
-        for (const auto& k : accepted) os << " --" << k;
-        os << '\n';
-        std::exit(unknown.empty() ? 0 : 2);
+        const int rc = opts.check_usage("bench_" + bench_, std::move(accepted));
+        if (rc >= 0) std::exit(rc);
     }
 
     struct Record {

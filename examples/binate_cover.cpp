@@ -3,7 +3,8 @@
 // exclude one another — a toy technology-binding problem — and solves it with
 // the exact BCP solver.
 //
-//   $ ./binate_cover [--rows=20] [--cols=12] [--neg=0.35] [--seed=1]
+//   $ ./binate_cover [--rows=20] [--cols=12] [--neg=0.35] [--lits=3]
+//                    [--max-cost=3] [--seed=1]
 #include <iostream>
 
 #include "bcp/bcp.hpp"
@@ -12,6 +13,11 @@
 
 int main(int argc, char** argv) {
     const ucp::Options opts(argc, argv);
+    if (const int rc = opts.check_usage(
+            "binate_cover",
+            {"rows", "cols", "neg", "lits", "max-cost", "seed"});
+        rc >= 0)
+        return rc;
 
     std::cout << "Binate covering demo\n\n";
     // A hand-built instance: pick implementations {0,1,2} for block A and

@@ -3,7 +3,8 @@
 // instance, printing each dual solution so the dominance chain of
 // Proposition 1 is visible, not just asserted.
 //
-//   $ ./bounds_demo [--rows=10] [--cols=14] [--seed=3] [--max-cost=4]
+//   $ ./bounds_demo [--rows=10] [--cols=14] [--density=0.25] [--seed=3]
+//                   [--max-cost=4]
 #include <cmath>
 #include <iostream>
 
@@ -54,6 +55,10 @@ void explain(const std::string& title, const ucp::cov::CoverMatrix& m) {
 
 int main(int argc, char** argv) {
     const ucp::Options opts(argc, argv);
+    if (const int rc = opts.check_usage(
+            "bounds_demo", {"rows", "cols", "density", "max-cost", "seed"});
+        rc >= 0)
+        return rc;
     std::cout << "Lower-bound dominance (paper section 3.4, Proposition 1)\n\n";
 
     explain("Example A: LB_MIS < LB_DA (glue-column matrix)",

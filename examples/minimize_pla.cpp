@@ -173,10 +173,33 @@ int run_batch(const ucp::Options& opts, bool json) {
     return 0;
 }
 
+/// Every flag minimize_pla reads; anything else is a typo (exit 2).
+const std::vector<std::string> kAcceptedFlags{
+    "help", "instance", "batch", "threads", "solver", "out",
+    "compare-espresso", "json", "deadline-ms", "zdd-node-budget",
+    "mem-budget-mb", "mem-budget-item-mb", "bnb-threads", "bnb-min-rows",
+    "zdd-cache-entries", "zdd-gc-threshold", "zdd-chain", "trace",
+    "trace-level", "trace-format"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
     const ucp::Options opts(argc, argv);
+    if (const int rc = opts.check_usage(
+            "minimize_pla", kAcceptedFlags,
+            "<file.pla> | --instance=<name> | --batch=<a,b,...> [options]");
+        rc >= 0) {
+        if (rc != 0 && opts.get_bool("json", false)) {
+            std::string names;
+            for (const auto& k : opts.unknown(kAcceptedFlags))
+                names += (names.empty() ? "--" : " --") + k;
+            std::cout << "{\"status\": \""
+                      << ucp::to_string(ucp::Status::kBadInput)
+                      << "\", \"error\": \"unknown option "
+                      << json_escape(names) << "\"}\n";
+        }
+        return rc;
+    }
     try {
         // Memory governor: latch the cap into the environment before the
         // first solve so MemoryBudget::process_default() — consulted by every

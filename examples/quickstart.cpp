@@ -11,6 +11,8 @@
 
 int main(int argc, char** argv) {
     const ucp::Options opts(argc, argv);
+    if (const int rc = opts.check_usage("quickstart", {"solver"}); rc >= 0)
+        return rc;
 
     // A 4-input, 1-output function with don't-cares (PLA text, Berkeley
     // format). Swap in read_pla_file(path) to minimise your own.

@@ -21,6 +21,13 @@
 
 int main(int argc, char** argv) {
     const ucp::Options opts(argc, argv);
+    if (const int rc = opts.check_usage(
+            "set_cover",
+            {"rows", "cols", "density", "max-cost", "seed", "verbose",
+             "skip-exact", "exact-limit"},
+            "[options] [problem.scp]");
+        rc >= 0)
+        return rc;
     try {
         ucp::cov::CoverMatrix m;
         if (!opts.positional().empty()) {
@@ -75,7 +82,8 @@ int main(int argc, char** argv) {
                       << r.lower_bound << (r.proved_optimal ? ", optimal" : "")
                       << ")  [" << ucp::TextTable::num(t.seconds(), 3)
                       << " s, " << r.subgradient_calls
-                      << " subgradient phases, best found in run "
+                      << " subgradient phases + " << r.replayed_steps
+                      << " replayed, best found in run "
                       << r.run_of_best << "]\n";
         }
         if (!opts.get_bool("skip-exact", false)) {

@@ -16,7 +16,40 @@ using cov::Index;
 using cov::SubMatrix;
 
 template <class Matrix>
+void build_dual_ascent_orders(const Matrix& a, DualAscentOrders& out) {
+    const auto live = static_cast<std::size_t>(a.num_live_rows());
+    fit(out.decreasing, live);
+    {
+        std::size_t k = 0;
+        for (Index i = 0; i < a.num_rows(); ++i)
+            if (a.row_alive(i)) out.decreasing[k++] = i;
+    }
+    std::stable_sort(out.decreasing.begin(), out.decreasing.end(),
+                     [&](Index x, Index y) {
+                         return a.live_row_size(x) > a.live_row_size(y);
+                     });
+    fit(out.increasing, live);
+    std::copy(out.decreasing.begin(), out.decreasing.end(),
+              out.increasing.begin());
+    std::stable_sort(out.increasing.begin(), out.increasing.end(),
+                     [&](Index x, Index y) {
+                         return a.live_row_size(x) < a.live_row_size(y);
+                     });
+}
+
+template <class Matrix>
 DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
+                             const std::vector<double>& warm_start,
+                             const std::vector<double>& cost_override,
+                             Budget* governor) {
+    build_dual_ascent_orders(a, ws.da_orders);
+    return dual_ascent(a, ws, ws.da_orders, warm_start, cost_override,
+                       governor);
+}
+
+template <class Matrix>
+DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
+                             const DualAscentOrders& orders,
                              const std::vector<double>& warm_start,
                              const std::vector<double>& cost_override,
                              Budget* governor) {
@@ -72,17 +105,7 @@ DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
     }
 
     // ---- phase 1: decrease until A'm ≤ c, most-covered rows first -----------
-    fit(ws.da_order, static_cast<std::size_t>(a.num_live_rows()));
-    std::vector<Index>& order = ws.da_order;
-    {
-        std::size_t k = 0;
-        for (Index i = 0; i < R; ++i)
-            if (a.row_alive(i)) order[k++] = i;
-    }
-    std::stable_sort(order.begin(), order.end(), [&](Index x, Index y) {
-        return a.live_row_size(x) > a.live_row_size(y);
-    });
-    for (const Index i : order) {
+    for (const Index i : orders.decreasing) {
         if (m[i] <= 0.0) continue;
         double worst = 0.0;
         for (const Index j : a.row(i)) {
@@ -103,10 +126,7 @@ DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
     // On a tripped governor the re-increase is skipped: the repaired m is
     // already dual feasible, so stopping here keeps the bound valid.
     if (governor == nullptr || governor->check() == Status::kOk) {
-        std::stable_sort(order.begin(), order.end(), [&](Index x, Index y) {
-            return a.live_row_size(x) < a.live_row_size(y);
-        });
-        for (const Index i : order) {
+        for (const Index i : orders.increasing) {
             double slack = cbar[i] - m[i];  // respect the m ≤ c̄ box
             for (const Index j : a.row(i)) {
                 if (!a.col_alive(j)) continue;
@@ -134,12 +154,22 @@ DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
     return out;
 }
 
+template void build_dual_ascent_orders<CoverMatrix>(const CoverMatrix&,
+                                                    DualAscentOrders&);
+template void build_dual_ascent_orders<SubMatrix>(const SubMatrix&,
+                                                  DualAscentOrders&);
 template DualAscentResult dual_ascent<CoverMatrix>(
     const CoverMatrix&, LagrangianWorkspace&, const std::vector<double>&,
     const std::vector<double>&, Budget*);
 template DualAscentResult dual_ascent<SubMatrix>(
     const SubMatrix&, LagrangianWorkspace&, const std::vector<double>&,
     const std::vector<double>&, Budget*);
+template DualAscentResult dual_ascent<CoverMatrix>(
+    const CoverMatrix&, LagrangianWorkspace&, const DualAscentOrders&,
+    const std::vector<double>&, const std::vector<double>&, Budget*);
+template DualAscentResult dual_ascent<SubMatrix>(
+    const SubMatrix&, LagrangianWorkspace&, const DualAscentOrders&,
+    const std::vector<double>&, const std::vector<double>&, Budget*);
 
 DualAscentResult dual_ascent(const CoverMatrix& a,
                              const std::vector<double>& warm_start,

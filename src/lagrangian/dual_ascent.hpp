@@ -44,6 +44,22 @@ DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
                              const std::vector<double>& cost_override = {},
                              Budget* governor = nullptr);
 
+/// Fills `out` with the two phases' row orders for `a` (scratch sized with
+/// fit(), so it can live in a workspace).
+template <class Matrix>
+void build_dual_ascent_orders(const Matrix& a, DualAscentOrders& out);
+
+/// The same ascent with row orders the caller built for this view with
+/// build_dual_ascent_orders. The plain overload above rebuilds
+/// `ws.da_orders` on every call; this one never touches it, so a caller
+/// may keep its orders there.
+template <class Matrix>
+DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
+                             const DualAscentOrders& orders,
+                             const std::vector<double>& warm_start,
+                             const std::vector<double>& cost_override,
+                             Budget* governor = nullptr);
+
 /// Convenience overload with a throwaway workspace.
 DualAscentResult dual_ascent(const cov::CoverMatrix& a,
                              const std::vector<double>& warm_start = {},

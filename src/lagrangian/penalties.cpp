@@ -53,17 +53,42 @@ template PenaltyResult lagrangian_penalties<SubMatrix>(
 template <class Matrix>
 PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
                              Cost z_best, const std::vector<double>& warm,
-                             std::size_t max_cols, bool integer_costs) {
+                             std::size_t max_cols, bool integer_costs,
+                             DualProbes* probes) {
     TRACE_SPAN("penalties.dual");
     PenaltyResult out;
     const Index C = a.num_cols();
     if (a.num_live_cols() > max_cols) return out;  // paper: skipped when too many columns
 
     const auto zb = static_cast<double>(z_best);
+    const auto reaches = [&](double w) {
+        return effective_bound(w, integer_costs) >= zb;
+    };
+    if (probes != nullptr && !probes->w_inf.empty() &&
+        z_best <= probes->z_best) {
+        for (Index j = 0; j < C; ++j) {
+            if (!a.col_alive(j)) continue;
+            if (reaches(probes->w_inf[j]))
+                out.fix_to_one.push_back(j);
+            else if (reaches(probes->w_zero[j]))
+                out.fix_to_zero.push_back(j);
+        }
+        return out;
+    }
+    DualProbes* const record =
+        probes != nullptr && probes->w_inf.empty() ? probes : nullptr;
+    if (record != nullptr) {
+        record->z_best = z_best;
+        record->w_inf.assign(C, std::numeric_limits<double>::quiet_NaN());
+        record->w_zero.assign(C, std::numeric_limits<double>::quiet_NaN());
+    }
+
     fit(ws.probe_cost, C);
     std::vector<double>& cost = ws.probe_cost;
     for (Index j = 0; j < C; ++j)
         if (a.col_alive(j)) cost[j] = static_cast<double>(a.cost(j));
+    // Every probe runs on this view; only the cost vector changes.
+    build_dual_ascent_orders(a, ws.da_orders);
 
     for (Index j = 0; j < C; ++j) {
         if (!a.col_alive(j)) continue;
@@ -72,9 +97,10 @@ PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
         // reaches z_best, no improving solution omits column j.
         {
             cost[j] = std::numeric_limits<double>::infinity();
-            const double w = dual_ascent(a, ws, warm, cost).value;
+            const double w = dual_ascent(a, ws, ws.da_orders, warm, cost).value;
             cost[j] = cj;
-            if (effective_bound(w, integer_costs) >= zb) {
+            if (record != nullptr) record->w_inf[j] = w;
+            if (reaches(w)) {
                 out.fix_to_one.push_back(j);
                 continue;
             }
@@ -84,10 +110,11 @@ PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
         // includes column j.
         {
             cost[j] = 0.0;
-            const double w = dual_ascent(a, ws, warm, cost).value + cj;
+            const double w =
+                dual_ascent(a, ws, ws.da_orders, warm, cost).value + cj;
             cost[j] = cj;
-            if (effective_bound(w, integer_costs) >= zb)
-                out.fix_to_zero.push_back(j);
+            if (record != nullptr) record->w_zero[j] = w;
+            if (reaches(w)) out.fix_to_zero.push_back(j);
         }
     }
     return out;
@@ -95,10 +122,10 @@ PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
 
 template PenaltyResult dual_penalties<CoverMatrix>(
     const CoverMatrix&, LagrangianWorkspace&, Cost, const std::vector<double>&,
-    std::size_t, bool);
+    std::size_t, bool, DualProbes*);
 template PenaltyResult dual_penalties<SubMatrix>(
     const SubMatrix&, LagrangianWorkspace&, Cost, const std::vector<double>&,
-    std::size_t, bool);
+    std::size_t, bool, DualProbes*);
 
 PenaltyResult dual_penalties(const CoverMatrix& a, Cost z_best,
                              const std::vector<double>& warm,

@@ -36,16 +36,34 @@ PenaltyResult lagrangian_penalties(const Matrix& a,
                                    const std::vector<double>& ctilde, double z_lp,
                                    cov::Cost z_best, bool integer_costs = true);
 
+/// The probe values of one dual_penalties call, per base column (NaN where
+/// no probe ran): w_inf[j] = w_D|_{c_j = +∞} and w_zero[j] = w_D|_{c_j = 0}
+/// + c_j, taken at target `z_best`. For the same view and warm start they
+/// answer every target ≤ z_best: a column whose (5) value reached z_best
+/// reaches any lower target, and every other column has its (6) value.
+/// Empty until recorded.
+struct DualProbes {
+    cov::Cost z_best = 0;
+    std::vector<double> w_inf, w_zero;
+};
+
 /// Dual penalties via dual-ascent re-runs. Probes every (alive) column when
 /// the live column count is ≤ max_cols (the paper's DualPen = 100 guard),
 /// otherwise returns empty. `warm` optionally warm-starts the dual ascent
 /// (the best λ). Probe cost vectors come from `ws`.
+///
+/// `probes` (optional) memoises the probe values of this view and warm
+/// start: an empty one is filled; a filled one taken at a target ≥ `z_best`
+/// answers without any dual ascent; one taken at a lower target lacks (6)
+/// values the tests may need, so it is ignored and left as it is. The
+/// caller keeps it only while the view and `warm` are unchanged.
 template <class Matrix>
 PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
                              cov::Cost z_best,
                              const std::vector<double>& warm = {},
                              std::size_t max_cols = 100,
-                             bool integer_costs = true);
+                             bool integer_costs = true,
+                             DualProbes* probes = nullptr);
 
 /// Convenience overload with a throwaway workspace.
 PenaltyResult dual_penalties(const cov::CoverMatrix& a, cov::Cost z_best,

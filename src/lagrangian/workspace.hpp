@@ -33,6 +33,14 @@ inline void fit(std::vector<T>& v, std::size_t n) {
     v.resize(n);
 }
 
+/// Row visit orders of the two dual-ascent phases: the live rows stably
+/// sorted by decreasing (phase 1) and increasing (phase 2) live row size.
+/// They depend only on the view, so a caller running many ascents on one
+/// view (the dual penalty probes) builds them once.
+struct DualAscentOrders {
+    std::vector<cov::Index> decreasing, increasing;
+};
+
 struct LagrangianWorkspace {
     // subgradient_ascent
     std::vector<double> ctilde;  ///< c − A'λ (dead slots undefined)
@@ -45,7 +53,7 @@ struct LagrangianWorkspace {
     std::vector<double> orig_cost;
     // dual_ascent
     std::vector<double> da_cost, da_cbar, da_m, da_load;
-    std::vector<cov::Index> da_order;
+    DualAscentOrders da_orders;
     // lagrangian_greedy
     std::vector<char> covered, selected;
     std::vector<double> row_weight;
@@ -65,7 +73,8 @@ struct LagrangianWorkspace {
         const std::size_t chars =
             p.capacity() + covered.capacity() + selected.capacity();
         const std::size_t indices =
-            da_order.capacity() + greedy_nj.capacity();
+            da_orders.decreasing.capacity() +
+            da_orders.increasing.capacity() + greedy_nj.capacity();
         return doubles * sizeof(double) + chars * sizeof(char) +
                indices * sizeof(cov::Index);
     }

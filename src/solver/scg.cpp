@@ -79,6 +79,46 @@ struct Work {
     }
 };
 
+/// One fixing step of run 1, the *spine* every later run starts on
+/// (DESIGN.md §7, "spine replay"): the dual-penalty probes taken on the
+/// step's view, the decisions the step applied, and the ascent computed on
+/// the view they left. A later run whose decisions matched the spine so far
+/// stands on the same view with the same multipliers, so the probes answer
+/// its lower-or-equal target, and the ascent is its own once it takes the
+/// same decisions again.
+struct SpineStep {
+    lagr::DualProbes probes;
+    std::vector<Index> to_fix, to_remove;  // base indices, in marking order
+    lagr::SubgradientResult sub;
+    bool has_sub = false;
+};
+
+/// Takes a recorded ascent in place of re-running it. The governor is
+/// charged the ascent's iterations one at a time, so an iteration cap or an
+/// injected fault trips at the same iteration as a real run would; on a trip
+/// the ascent is re-run for real, truncated to the iterations charged
+/// before it — what the governed ascent returns. False in that case.
+bool replay_ascent(const SpineStep& step, const cov::SubMatrix& view,
+                   lagr::LagrangianWorkspace& ws,
+                   const lagr::SubgradientOptions& subopt,
+                   const std::vector<double>& lambda,
+                   const std::vector<double>& mu,
+                   lagr::SubgradientResult& sub) {
+    if (subopt.governor != nullptr)
+        for (int k = 0; k < step.sub.iterations; ++k) {
+            const Status st = subopt.governor->charge_iteration();
+            if (st == Status::kOk) continue;
+            lagr::SubgradientOptions truncated = subopt;
+            truncated.governor = nullptr;
+            truncated.max_iterations = k;
+            sub = lagr::subgradient_ascent(view, ws, truncated, lambda, mu);
+            sub.status = st;
+            return false;
+        }
+    sub = step.sub;
+    return true;
+}
+
 ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt);
 
 /// One full descent (partitioning + per-block SCG) with a single seed.
@@ -122,6 +162,7 @@ ScgResult solve_scg_one_start(const CoverMatrix& m, const ScgOptions& opt) {
         out.runs_executed = std::max(out.runs_executed, r.runs_executed);
         out.run_of_best = std::max(out.run_of_best, r.run_of_best);
         out.subgradient_calls += r.subgradient_calls;
+        out.replayed_steps += r.replayed_steps;
         out.columns_fixed_by_penalties += r.columns_fixed_by_penalties;
         out.columns_removed_by_penalties += r.columns_removed_by_penalties;
         if (out.status == Status::kOk) out.status = r.status;
@@ -145,6 +186,7 @@ ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
     static stats::Counter& c_calls = stats::counter("scg.calls");
     static stats::Counter& c_starts = stats::counter("scg.starts");
     static stats::Counter& c_sub = stats::counter("scg.subgradient_calls");
+    static stats::Counter& c_replayed = stats::counter("scg.replayed_steps");
     const stats::ScopedTimer phase_timer("scg.seconds");
     TRACE_SPAN("scg");
     c_calls.add();
@@ -156,6 +198,7 @@ ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
         out.start_of_best = 0;
         c_starts.add(1);
         c_sub.add(out.subgradient_calls);
+        c_replayed.add(out.replayed_steps);
         return out;
     }
 
@@ -208,6 +251,7 @@ ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
                                               results[s].lower_bound_fractional);
         if (s != best) {
             out.subgradient_calls += results[s].subgradient_calls;
+            out.replayed_steps += results[s].replayed_steps;
             out.columns_fixed_by_penalties += results[s].columns_fixed_by_penalties;
             out.columns_removed_by_penalties +=
                 results[s].columns_removed_by_penalties;
@@ -217,6 +261,7 @@ ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
     out.seconds = timer.seconds();
     c_starts.add(static_cast<std::uint64_t>(starts));
     c_sub.add(out.subgradient_calls);
+    c_replayed.add(out.replayed_steps);
     return out;
 }
 
@@ -315,11 +360,17 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
     }
 
     // ---- NumIter constructive runs ---------------------------------------------
+    // Run 1 records its trajectory as the spine; a later run replays it for
+    // as long as it makes the same decisions (DESIGN.md §7).
+    std::vector<SpineStep> spine;
     for (int run = 1; run <= opt.num_iter && !expired(); ++run) {
         TRACE_SPAN_ITER("scg.run");
         ++out.runs_executed;
         if (best_cost <= out.lower_bound) break;  // already proven optimal
         std::int64_t fix_step = 0;
+        bool recording = run == 1;
+        bool on_spine = run > 1;
+        std::size_t step = 0;  // index into the spine
         Work w = saved;
         std::vector<Index> chosen = essentials;  // original ids fixed so far
         auto sub = root_sub;  // valid for `saved`, re-computed after each fixing
@@ -350,6 +401,11 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
             const Cost chosen_cost = m.solution_cost(chosen);
             if (chosen_cost + sub.lb >= best_cost) break;
             const Cost local_target = best_cost - chosen_cost;
+
+            if (recording) spine.emplace_back();
+            on_spine = on_spine && step < spine.size();
+            SpineStep* const spine_step =
+                recording || on_spine ? &spine[step] : nullptr;
 
             std::vector<Index> to_fix;  // base columns to take
             std::vector<bool> fix_mask(C, false);
@@ -382,7 +438,8 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
                 w.view.num_live_cols() <= opt.dual_pen_max_cols) {
                 const auto pen = lagr::dual_penalties(
                     w.view, ws, local_target, sub.lambda, opt.dual_pen_max_cols,
-                    opt.subgradient.integer_costs);
+                    opt.subgradient.integer_costs,
+                    spine_step != nullptr ? &spine_step->probes : nullptr);
                 for (const Index j : pen.fix_to_one) mark_fix(j);
                 for (const Index j : pen.fix_to_zero) mark_remove(j);
                 out.columns_fixed_by_penalties += pen.fix_to_one.size();
@@ -413,6 +470,14 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
                 const Index pick =
                     order[run == 1 ? 0 : static_cast<std::size_t>(rng.below(pool))];
                 mark_fix(pick);
+            }
+
+            if (recording) {
+                spine_step->to_fix = to_fix;
+                spine_step->to_remove = to_remove;
+            } else if (on_spine) {
+                on_spine = spine_step->to_fix == to_fix &&
+                           spine_step->to_remove == to_remove;
             }
 
             // Apply the removals in place; a row losing its last column means
@@ -448,8 +513,31 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
             // Re-optimise the multipliers on the reduced problem, warm-started
             // from the previous ones (paper §3.2: "the best value determined
             // for the previous problem is assumed as the initial one").
-            sub = lagr::subgradient_ascent(w.view, ws, subopt, w.lambda, w.mu);
-            ++out.subgradient_calls;
+            // On the spine the ascent was already computed on this very view
+            // from these multipliers; the engines are pure functions of
+            // both, so the recorded result is bit-identical.
+            bool replayed = false;
+            if (on_spine && spine_step->has_sub)
+                replayed = replay_ascent(*spine_step, w.view, ws, subopt,
+                                         w.lambda, w.mu, sub);
+            else
+                sub = lagr::subgradient_ascent(w.view, ws, subopt, w.lambda,
+                                               w.mu);
+            if (replayed) {
+                ++out.replayed_steps;
+            } else {
+                ++out.subgradient_calls;
+                on_spine = false;
+                // A tripped ascent depends on the governor, not only on the
+                // view: the spine ends before it.
+                if (recording && sub.status == Status::kOk) {
+                    spine_step->sub = sub;
+                    spine_step->has_sub = true;
+                } else {
+                    recording = false;
+                }
+            }
+            ++step;
             w.lambda = sub.lambda;
             w.mu = sub.mu;
         }
@@ -457,7 +545,8 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
         if (opt.log != nullptr)
             *opt.log << "[scg] run " << run << " (BestCol " << best_col
                      << "): incumbent " << best_cost << ", "
-                     << out.subgradient_calls << " subgradient phases\n";
+                     << out.subgradient_calls << " subgradient phases, "
+                     << out.replayed_steps << " replayed\n";
 
         // Run finished: if the constructive solution is feasible, it is a
         // candidate; make it irredundant (paper's final While loop).

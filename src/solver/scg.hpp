@@ -13,6 +13,14 @@
 // until the matrix empties or the local bound proves no improvement is
 // possible. The incumbent is made irredundant at the end of each run.
 // BestCol grows from run to run to widen the explored region (§4).
+//
+// With the default best_col_start = 1, run 2 is as deterministic as run 1:
+// it can only differ where its lower incumbent changes a penalty test or
+// the local-bound break. Run 1 therefore records its fixing trajectory as a
+// *spine* (decisions, ascent results, dual-penalty probes), and every later
+// run takes the recorded ascent for each step whose decisions match the
+// spine's instead of recomputing it. Bit-identical to recomputing; it is
+// what makes the deterministic restart cheap (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -87,7 +95,11 @@ struct ScgResult {
     int run_of_best = 0;             ///< the run (1-based) that found `solution`
     int starts_executed = 0;         ///< multi-starts actually run (≥ 1)
     int start_of_best = 0;           ///< the start (0-based) that found `solution`
-    std::size_t subgradient_calls = 0;
+    std::size_t subgradient_calls = 0;  ///< ascents actually run
+    /// Fixing steps of runs ≥ 2 that took run 1's recorded ascent instead
+    /// of re-running it (spine replay); subgradient_calls + replayed_steps
+    /// is the number of ascents the paper's loop performs.
+    std::size_t replayed_steps = 0;
     std::size_t columns_fixed_by_penalties = 0;
     std::size_t columns_removed_by_penalties = 0;
     double seconds = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace ucp {
@@ -61,6 +62,22 @@ std::vector<std::string> Options::unknown(
         if (std::find(accepted.begin(), accepted.end(), k) == accepted.end())
             out.push_back(k);
     return out;
+}
+
+int Options::check_usage(const std::string& program,
+                         std::vector<std::string> accepted,
+                         const std::string& synopsis) const {
+    if (std::find(accepted.begin(), accepted.end(), "help") == accepted.end())
+        accepted.insert(accepted.begin(), "help");
+    const std::vector<std::string> bad = unknown(accepted);
+    if (bad.empty() && !has("help")) return -1;
+    std::ostream& os = bad.empty() ? std::cout : std::cerr;
+    for (const auto& k : bad)
+        os << program << ": unknown option --" << k << '\n';
+    os << "usage: " << program << ' ' << synopsis << "\naccepted options:";
+    for (const auto& k : accepted) os << " --" << k;
+    os << '\n';
+    return bad.empty() ? 0 : 2;
 }
 
 }  // namespace ucp

@@ -37,6 +37,15 @@ public:
     [[nodiscard]] std::vector<std::string> unknown(
         const std::vector<std::string>& accepted) const;
 
+    /// The usage gate a binary runs before any work. With an option outside
+    /// `accepted` it names each one on stderr, followed by the usage line
+    /// and the accepted list, and returns 2. With --help (always accepted)
+    /// it prints the usage line and the list on stdout and returns 0.
+    /// Otherwise it prints nothing and returns -1: go on.
+    [[nodiscard]] int check_usage(const std::string& program,
+                                  std::vector<std::string> accepted,
+                                  const std::string& synopsis = "[options]") const;
+
 private:
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;

@@ -108,6 +108,74 @@ TEST(Penalties, DualPenaltyFixesObviousColumn) {
     EXPECT_TRUE(glue_fixed);
 }
 
+TEST(Penalties, DualProbesAnswerEqualOrLowerTargets) {
+    // Probes recorded at one target answer that target and every lower one
+    // exactly as a fresh run does — the SCG spine replay reuses them.
+    ucp::Rng seeds(47);
+    int reused = 0;
+    for (int trial = 0; trial < 20; ++trial) {
+        ucp::gen::RandomScpOptions opt;
+        opt.rows = 12;
+        opt.cols = 16;
+        opt.density = 0.22;
+        opt.min_cost = 1;
+        opt.max_cost = 4;
+        opt.seed = seeds();
+        const CoverMatrix m = ucp::gen::random_scp(opt);
+        const auto sub = ucp::lagr::subgradient_ascent(m);
+        ucp::lagr::LagrangianWorkspace ws;
+        ucp::lagr::DualProbes probes;
+        const auto at = ucp::lagr::dual_penalties(m, ws, sub.best_cost,
+                                                  sub.lambda, 100, true, &probes);
+        ASSERT_EQ(probes.w_inf.size(), m.num_cols());
+        EXPECT_EQ(probes.z_best, sub.best_cost);
+        for (Cost target = sub.best_cost; target >= sub.best_cost - 2; --target) {
+            const auto fresh = ucp::lagr::dual_penalties(m, ws, target, sub.lambda);
+            const auto cached = ucp::lagr::dual_penalties(
+                m, ws, target, sub.lambda, 100, true, &probes);
+            EXPECT_EQ(cached.fix_to_one, fresh.fix_to_one) << "trial " << trial;
+            EXPECT_EQ(cached.fix_to_zero, fresh.fix_to_zero) << "trial " << trial;
+            ++reused;
+        }
+        EXPECT_EQ(at.fix_to_one,
+                  ucp::lagr::dual_penalties(m, ws, sub.best_cost, sub.lambda)
+                      .fix_to_one);
+    }
+    EXPECT_EQ(reused, 60);
+}
+
+TEST(Penalties, DualProbesIgnoredForHigherTarget) {
+    // At target 0 every (5) probe passes, so no (6) value is recorded. A
+    // higher target needs them: the probes must be ignored, not consulted.
+    ucp::Rng seeds(53);
+    int differs = 0;
+    for (int trial = 0; trial < 20; ++trial) {
+        ucp::gen::RandomScpOptions opt;
+        opt.rows = 12;
+        opt.cols = 16;
+        opt.density = 0.22;
+        opt.min_cost = 1;
+        opt.max_cost = 4;
+        opt.seed = seeds();
+        const CoverMatrix m = ucp::gen::random_scp(opt);
+        const auto sub = ucp::lagr::subgradient_ascent(m);
+        ucp::lagr::LagrangianWorkspace ws;
+        ucp::lagr::DualProbes probes;
+        const auto low = ucp::lagr::dual_penalties(m, ws, 0, sub.lambda, 100,
+                                                   true, &probes);
+        EXPECT_EQ(low.fix_to_one.size(), m.num_cols());
+        const auto fresh =
+            ucp::lagr::dual_penalties(m, ws, sub.best_cost, sub.lambda);
+        const auto cached = ucp::lagr::dual_penalties(
+            m, ws, sub.best_cost, sub.lambda, 100, true, &probes);
+        EXPECT_EQ(cached.fix_to_one, fresh.fix_to_one) << "trial " << trial;
+        EXPECT_EQ(cached.fix_to_zero, fresh.fix_to_zero) << "trial " << trial;
+        EXPECT_EQ(probes.z_best, 0);  // left as recorded
+        if (fresh.fix_to_one.size() != m.num_cols()) ++differs;
+    }
+    EXPECT_GT(differs, 0);  // the sweep exercises the case that matters
+}
+
 TEST(Penalties, LimitBoundMatchesTheoremStatement) {
     // Theorem 2: column j not covering the MIS with LB + c_j ≥ z_best is
     // removable.

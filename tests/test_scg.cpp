@@ -3,13 +3,19 @@
 // restart behaviour, determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "gen/scp_gen.hpp"
+#include "gen/suites.hpp"
 #include "solver/bnb.hpp"
 #include "solver/greedy.hpp"
 #include "solver/scg.hpp"
+#include "util/budget.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -180,6 +186,136 @@ TEST(Scg, RunOfBestIsTracked) {
     const auto r = solve_scg(ucp::gen::cyclic_matrix(10, 3));
     EXPECT_GE(r.run_of_best, 0);
     EXPECT_LE(r.run_of_best, r.runs_executed);
+}
+
+/// FNV-1a over the solution's column sequence (order included).
+std::uint64_t solution_hash(const std::vector<Index>& solution) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const Index j : solution) {
+        h ^= j;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+const CoverMatrix& unicost(const std::string& name) {
+    static const auto suite = ucp::gen::unicost_suite();
+    for (const auto& e : suite)
+        if (e.name == name) return e.matrix;
+    throw std::invalid_argument("no unicost instance " + name);
+}
+
+/// Answers of the solver that recomputed every fixing step's ascent (before
+/// the spine replay existed), default options except num_iter.
+struct Recorded {
+    const char* instance;
+    int num_iter;
+    Cost cost, lower_bound;
+    std::size_t solution_size;
+    std::uint64_t solution_hash;
+    int run_of_best, runs_executed;
+    std::size_t fixed_by_penalties, removed_by_penalties;
+    std::size_t ascents;  ///< subgradient_calls of the recomputing solver
+};
+
+constexpr Recorded kRecorded[] = {
+    {"u120x60k3", 2, 23, 20, 23, 0x24773945633c82d5ull, 0, 2, 6, 28, 27},
+    {"u200x80k3", 2, 34, 27, 34, 0xac0c0e4183b75ec6ull, 1, 2, 0, 58, 37},
+    {"u300x100k4", 2, 37, 25, 37, 0x0845a55f8a9311acull, 1, 2, 0, 64, 57},
+    {"u400x120k4", 2, 46, 30, 46, 0x57416e1470003ce3ull, 1, 2, 0, 42, 67},
+    {"u500x140k5", 2, 47, 28, 47, 0xef9d75efcdc94cbcull, 1, 2, 0, 36, 75},
+    {"u600x150k5", 2, 51, 30, 51, 0x0eb94398971e0f58ull, 1, 2, 0, 90, 83},
+    {"sts27", 2, 17, 9, 17, 0x64a3e033f250b421ull, 0, 2, 0, 4, 23},
+    {"sts45", 2, 29, 15, 29, 0x02d1a2e9520c19ebull, 0, 2, 0, 8, 41},
+    {"u120x60k3", 4, 23, 20, 23, 0x24773945633c82d5ull, 0, 4, 7, 50, 53},
+    {"u200x80k3", 4, 34, 27, 34, 0xac0c0e4183b75ec6ull, 1, 4, 0, 99, 75},
+    {"u300x100k4", 4, 36, 25, 36, 0x4458c424f80ca9a8ull, 3, 4, 0, 144, 101},
+    {"u400x120k4", 4, 45, 30, 45, 0x82d667549605c6afull, 3, 4, 1, 132, 128},
+    {"u500x140k5", 4, 45, 28, 45, 0x604b400f3ea5ad21ull, 3, 4, 0, 189, 135},
+    {"u600x150k5", 4, 51, 30, 51, 0x0eb94398971e0f58ull, 1, 4, 0, 216, 154},
+    {"sts27", 4, 17, 9, 17, 0x64a3e033f250b421ull, 0, 4, 0, 8, 44},
+    {"sts45", 4, 29, 15, 29, 0x02d1a2e9520c19ebull, 0, 4, 0, 23, 79},
+};
+
+TEST(Scg, SpineReplayIsBitIdentical) {
+    for (const Recorded& want : kRecorded) {
+        ScgOptions opt;
+        opt.num_iter = want.num_iter;
+        const auto r = solve_scg(unicost(want.instance), opt);
+        SCOPED_TRACE(std::string(want.instance) + " num_iter " +
+                     std::to_string(want.num_iter));
+        EXPECT_EQ(r.cost, want.cost);
+        EXPECT_EQ(r.lower_bound, want.lower_bound);
+        EXPECT_EQ(r.solution.size(), want.solution_size);
+        EXPECT_EQ(solution_hash(r.solution), want.solution_hash);
+        EXPECT_EQ(r.run_of_best, want.run_of_best);
+        EXPECT_EQ(r.runs_executed, want.runs_executed);
+        EXPECT_EQ(r.columns_fixed_by_penalties, want.fixed_by_penalties);
+        EXPECT_EQ(r.columns_removed_by_penalties, want.removed_by_penalties);
+        EXPECT_EQ(r.subgradient_calls + r.replayed_steps, want.ascents);
+    }
+}
+
+TEST(Scg, ReplaySkipsSubgradientCalls) {
+    auto& c_sub = ucp::stats::counter("scg.subgradient_calls");
+    auto& c_replayed = ucp::stats::counter("scg.replayed_steps");
+    for (const Recorded& want : kRecorded) {
+        if (want.num_iter != 2) continue;
+        const std::uint64_t sub0 = c_sub.value(), rep0 = c_replayed.value();
+        ScgOptions opt;
+        opt.num_iter = want.num_iter;
+        const auto r = solve_scg(unicost(want.instance), opt);
+        SCOPED_TRACE(want.instance);
+        // Run 2 repeats run 1's decisions here, so it replays every step.
+        EXPECT_GT(r.replayed_steps, 0u);
+        EXPECT_EQ(r.subgradient_calls + r.replayed_steps, want.ascents);
+        EXPECT_EQ(c_sub.value() - sub0, r.subgradient_calls);
+        EXPECT_EQ(c_replayed.value() - rep0, r.replayed_steps);
+    }
+}
+
+TEST(Scg, IterationCapInsideReplayedRunIsUnchanged) {
+    // Caps at 1/4, 1/2 and 3/4 of run 2's iterations: the replay charges the
+    // governor iteration by iteration, so the trip lands in the same ascent
+    // of run 2 as when every ascent was recomputed.
+    struct Governed {
+        const char* instance;
+        std::uint64_t cap;
+        Cost cost, lower_bound;
+        std::uint64_t solution_hash;
+        int run_of_best, runs_executed;
+        std::size_t ascents;
+    };
+    const Governed cases[] = {
+        {"u120x60k3", 6920, 23, 20, 0x24773945633c82d5ull, 0, 2, 18},
+        {"u120x60k3", 8208, 23, 20, 0x24773945633c82d5ull, 0, 2, 21},
+        {"u120x60k3", 9496, 23, 20, 0x24773945633c82d5ull, 0, 2, 24},
+        {"u300x100k4", 16908, 37, 25, 0x0845a55f8a9311acull, 1, 2, 36},
+        {"u300x100k4", 20225, 37, 25, 0x0845a55f8a9311acull, 1, 2, 42},
+        {"u300x100k4", 23542, 37, 25, 0x0845a55f8a9311acull, 1, 2, 50},
+        {"sts45", 7723, 29, 15, 0x02d1a2e9520c19ebull, 0, 2, 25},
+        {"sts45", 9240, 29, 15, 0x02d1a2e9520c19ebull, 0, 2, 30},
+        {"sts45", 10757, 29, 15, 0x02d1a2e9520c19ebull, 0, 2, 35},
+    };
+    for (const Governed& want : cases) {
+        ucp::BudgetOptions bo;
+        bo.iteration_cap = want.cap;
+        ucp::Budget governor(bo);
+        ScgOptions opt;
+        opt.num_iter = 2;
+        opt.governor = &governor;
+        const auto r = solve_scg(unicost(want.instance), opt);
+        SCOPED_TRACE(std::string(want.instance) + " cap " +
+                     std::to_string(want.cap));
+        EXPECT_EQ(r.status, ucp::Status::kDeadline);
+        EXPECT_EQ(r.cost, want.cost);
+        EXPECT_EQ(r.lower_bound, want.lower_bound);
+        EXPECT_EQ(solution_hash(r.solution), want.solution_hash);
+        EXPECT_EQ(r.run_of_best, want.run_of_best);
+        EXPECT_EQ(r.runs_executed, want.runs_executed);
+        EXPECT_EQ(r.subgradient_calls + r.replayed_steps, want.ascents);
+        EXPECT_GT(r.replayed_steps, 0u);
+    }
 }
 
 }  // namespace

@@ -113,6 +113,22 @@ TEST(Options, UnknownListsKeysOutsideTheAcceptedSet) {
     EXPECT_TRUE(Options().unknown({}).empty());
 }
 
+TEST(Options, CheckUsageGatesUnknownFlagsAndHelp) {
+    const char* typo[] = {"prog", "--rows=3", "--bogus"};
+    const char* help[] = {"prog", "--help", "--rows=3"};
+    const char* fine[] = {"prog", "--rows=3", "file"};
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(Options(3, typo).check_usage("prog", {"rows"}), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("prog: unknown option --bogus"), std::string::npos);
+    EXPECT_NE(err.find("accepted options: --help --rows"), std::string::npos);
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(Options(3, help).check_usage("prog", {"rows"}), 0);
+    EXPECT_NE(testing::internal::GetCapturedStdout().find("--rows"),
+              std::string::npos);
+    EXPECT_EQ(Options(3, fine).check_usage("prog", {"rows"}), -1);
+}
+
 TEST(TextTable, AlignsColumns) {
     TextTable t({"Name", "Sol", "T(s)"});
     t.add_row({"bench1", "121", "14.26"});
