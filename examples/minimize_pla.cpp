@@ -109,11 +109,11 @@ int run_batch(const ucp::Options& opts, bool json) {
         plas.push_back(std::move(pla));
         names.push_back(f);
     }
-    if (plas.empty()) {
-        std::cerr << "--batch needs instance names (--batch=a,b,...) and/or "
-                     "PLA files\n";
-        return 2;
-    }
+    if (plas.empty())
+        return fail(ucp::Status::kBadInput,
+                    "--batch needs instance names (--batch=a,b,...) and/or "
+                    "PLA files",
+                    json);
 
     // Implicit phase per instance, then one lockstep explicit phase.
     std::vector<ucp::cover::CoveringTable> tables;
@@ -125,8 +125,7 @@ int run_batch(const ucp::Options& opts, bool json) {
     }
     ucp::solver::BatchOptions bopt;
     bopt.num_threads = static_cast<int>(opts.get_int("threads", 1));
-    bopt.mem_budget_per_item =
-        static_cast<std::size_t>(opts.get_int("mem-budget-item-mb", 0)) << 20;
+    bopt.mem_budget_per_item = opts.get_count("mem-budget-item-mb", 0) << 20;
     const ucp::solver::BatchSolver solver(bopt);
     const auto res = solver.solve(mats);
 
@@ -235,7 +234,8 @@ int main(int argc, char** argv) {
                          "[--trace-format=jsonl|chrome]\n"
                       << "named instances: bench1, ex5, exam, max1024, prom2, "
                          "t1, test4, ex1010, test2, ...\n";
-            return 2;
+            return fail(ucp::Status::kBadInput,
+                        "no input: give <file.pla>, --instance or --batch", json);
         }
 
         const auto& s = pla.space();
@@ -247,23 +247,23 @@ int main(int argc, char** argv) {
 
         ucp::solver::TwoLevelOptions tl;
         // ZDD/BDD engine knobs (defaults documented in README).
-        tl.table.dd.cache_entries = static_cast<std::size_t>(opts.get_int(
-            "zdd-cache-entries", static_cast<long>(tl.table.dd.cache_entries)));
-        tl.table.dd.gc_threshold = static_cast<std::size_t>(opts.get_int(
-            "zdd-gc-threshold", static_cast<long>(tl.table.dd.gc_threshold)));
+        // The DD managers clamp cache_entries to max_cache_entries.
+        tl.table.dd.cache_entries =
+            opts.get_count("zdd-cache-entries", tl.table.dd.cache_entries);
+        tl.table.dd.gc_threshold =
+            opts.get_count("zdd-gc-threshold", tl.table.dd.gc_threshold);
         const std::string chain =
             opts.get("zdd-chain", tl.table.dd.chain_nodes ? "on" : "off");
         if (chain == "on" || chain == "off") {
             tl.table.dd.chain_nodes = chain == "on";
         } else {
-            std::cerr << "unknown --zdd-chain (want on|off)\n";
-            return 2;
+            return fail(ucp::Status::kBadInput,
+                        "unknown --zdd-chain (want on|off)", json);
         }
         // Resource governor: deadline, DD node budget, SIGINT cancellation.
         tl.budget.deadline_seconds =
             static_cast<double>(opts.get_int("deadline-ms", 0)) / 1000.0;
-        tl.budget.zdd_node_budget =
-            static_cast<std::size_t>(opts.get_int("zdd-node-budget", 0));
+        tl.budget.zdd_node_budget = opts.get_count("zdd-node-budget", 0);
         tl.cancel = &g_cancel;
         std::signal(SIGINT, on_sigint);
         // Tracing (docs/OBSERVABILITY.md): arm before the solve, export after.
@@ -271,14 +271,12 @@ int main(int argc, char** argv) {
         const std::string trace_format = opts.get("trace-format", "jsonl");
         ucp::trace::Level trace_level = ucp::trace::Level::kPhase;
         if (!ucp::trace::parse_level(opts.get("trace-level", "phase"),
-                                     trace_level)) {
-            std::cerr << "unknown --trace-level (want phase|iter)\n";
-            return 2;
-        }
-        if (trace_format != "jsonl" && trace_format != "chrome") {
-            std::cerr << "unknown --trace-format (want jsonl|chrome)\n";
-            return 2;
-        }
+                                     trace_level))
+            return fail(ucp::Status::kBadInput,
+                        "unknown --trace-level (want phase|iter)", json);
+        if (trace_format != "jsonl" && trace_format != "chrome")
+            return fail(ucp::Status::kBadInput,
+                        "unknown --trace-format (want jsonl|chrome)", json);
         if (!trace_path.empty()) {
             if (!ucp::trace::compiled_in()) {
                 std::cerr << "warning: built with -DUCP_TRACE=OFF; --trace "
@@ -296,10 +294,10 @@ int main(int argc, char** argv) {
             tl.cover_solver = ucp::solver::CoverSolver::kExact;
         else if (solver == "greedy")
             tl.cover_solver = ucp::solver::CoverSolver::kGreedy;
-        else if (solver != "scg") {
-            std::cerr << "unknown solver: " << solver << '\n';
-            return 2;
-        }
+        else if (solver != "scg")
+            return fail(ucp::Status::kBadInput,
+                        "unknown --solver=" + solver + " (want scg|exact|greedy)",
+                        json);
 
         const auto r = ucp::solver::minimize_two_level(pla, tl);
         if (!trace_path.empty()) {

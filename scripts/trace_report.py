@@ -38,6 +38,7 @@ PHASE_SECTIONS = {
     "table.onset_matrix": "§8",
     "table.onset_build": "§8",
     "table.onset_walk": "§8",
+    "table.onset_rows": "§8",
     "budget": "§9",
     "rwls": "§14",
     "portfolio": "§14",

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
-#include <set>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "cover/signature_set.hpp"
 #include "primes/explicit_primes.hpp"
 #include "primes/implicit_primes.hpp"
 #include "util/stats.hpp"
@@ -84,19 +84,153 @@ Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
                                        opt.dd.governor);
 }
 
-/// The row order of the covering matrix: signatures compare element-wise
-/// ascending, with a proper prefix sorting AFTER its extensions (the order
-/// in which a member-first partition refinement over ascending columns
-/// emits its classes). Both row paths dedupe through this order, which is
-/// what makes their matrices bit-identical.
-struct MemberFirstLess {
-    bool operator()(const std::vector<Index>& a,
-                    const std::vector<Index>& b) const noexcept {
-        const std::size_t n = std::min(a.size(), b.size());
-        for (std::size_t t = 0; t < n; ++t)
-            if (a[t] != b[t]) return a[t] < b[t];
-        return a.size() > b.size();
+/// The max_rows guard. A type of its own so that RowMethod::kAuto does not
+/// fall back on it: the explicit path finds the same classes, so it would
+/// only overflow the same guard, later.
+class MaxRowsError : public ResourceError {
+public:
+    MaxRowsError()
+        : ResourceError(Status::kNodeBudget,
+                        "signature classes exceed max_rows guard") {}
+};
+
+/// Adds one minterm's signature (a bitset over the output's local columns)
+/// to that output's classes, enforcing coverage and the max_rows guard.
+void add_class(RecordSet& classes, const std::uint64_t* sig,
+               std::size_t max_rows) {
+    if (std::all_of(sig, sig + classes.stride(),
+                    [](std::uint64_t w) { return w == 0; }))
+        throw BadInputError("columns do not cover the care on-set");
+    if (classes.insert(sig) && classes.size() > max_rows) throw MaxRowsError();
+}
+
+/// The columns asserting output k, ascending: local bit i of that output's
+/// signatures stands for column cols[i].
+std::vector<Index> output_columns(const CubeSpace& s, const Cover& columns,
+                                  std::uint32_t k) {
+    std::vector<Index> cols;
+    for (Index j = 0; j < static_cast<Index>(columns.size()); ++j)
+        if (columns[j].out(s, k)) cols.push_back(j);
+    return cols;
+}
+
+/// The rows of the covering matrix, written once: each output's classes are
+/// decoded to global columns straight into flat CSR arrays, and an open-
+/// addressing table over the (offset, length) of the rows kept so far drops
+/// a class another output already produced. Both row paths feed this sink,
+/// so their matrices are bit-identical by construction.
+class RowSink {
+public:
+    explicit RowSink(std::size_t num_cols) : essential_(num_cols, 0) {}
+
+    /// Appends output classes `classes` over local columns `cols`, in the
+    /// row order (member_first_order); a repeat of an earlier row is dropped.
+    void add_output(const RecordSet& classes, const std::vector<Index>& cols) {
+        TRACE_SPAN("table.onset_rows");
+        // An output's classes are distinct, so the rows of the first output
+        // with any are kept unhashed: the row index is built when a second
+        // output brings rows that could repeat them.
+        const bool first = row_off_.size() == 1;
+        for (const std::uint32_t e : member_first_order(classes)) {
+            const std::uint64_t* sig = classes.record(e);
+            std::size_t len = 0;
+            for (std::size_t w = 0; w < classes.stride(); ++w)
+                len += static_cast<std::size_t>(std::popcount(sig[w]));
+            const std::size_t start = row_idx_.size();
+            row_idx_.resize(start + len);
+            Index* out = row_idx_.data() + start;
+            for (std::size_t w = 0; w < classes.stride(); ++w)
+                for (std::uint64_t bits = sig[w]; bits != 0; bits &= bits - 1)
+                    *out++ = cols[w * 64 + std::countr_zero(bits)];
+            if (first)
+                keep_row();
+            else
+                commit_row();
+        }
     }
+
+    double onset_minterms = 0.0;  ///< Σ_k |U_k|, added by the row path
+
+    /// The covering matrix over `costs` (empty = unit costs).
+    OnsetMatrix finish(std::vector<cov::Cost> costs) && {
+        TRACE_SPAN("table.onset_rows");
+        stats::counter("table.signature_dups").add(dups_);
+        OnsetMatrix out;
+        out.onset_minterms = onset_minterms;
+        out.essential_columns = essentials_;
+        out.matrix = cov::CoverMatrix::from_csr(
+            static_cast<Index>(essential_.size()), std::move(row_off_),
+            std::move(row_idx_), std::move(costs));
+        return out;
+    }
+
+private:
+    /// Keeps the row row_idx_[row_off_.back() ..).
+    void keep_row() {
+        const std::size_t start = row_off_.back();
+        if (row_idx_.size() - start == 1 && essential_[row_idx_[start]] == 0) {
+            essential_[row_idx_[start]] = 1;
+            ++essentials_;
+        }
+        row_off_.push_back(row_idx_.size());
+    }
+
+    /// Keeps the row row_idx_[row_off_.back() ..) unless it repeats one.
+    void commit_row() {
+        const std::size_t start = row_off_.back();
+        const std::size_t len = row_idx_.size() - start;
+        const Index* row = row_idx_.data() + start;
+        const std::size_t rows = row_off_.size() - 1;
+        if (2 * (rows + 1) > slots_.size()) reslot();
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t at = hash(row, len) & mask;; at = (at + 1) & mask) {
+            const std::uint32_t r = slots_[at];
+            if (r == 0) {
+                slots_[at] = static_cast<std::uint32_t>(rows + 1);
+                keep_row();
+                return;
+            }
+            const std::size_t off = row_off_[r - 1];
+            if (row_off_[r] - off == len &&
+                std::equal(row, row + len, row_idx_.data() + off)) {
+                row_idx_.resize(start);
+                ++dups_;
+                return;
+            }
+        }
+    }
+
+    static std::size_t hash(const Index* row, std::size_t len) noexcept {
+        std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ len;
+        for (std::size_t t = 0; t < len; ++t) {
+            h ^= row[t];
+            h *= 0xff51afd7ed558ccdULL;
+            h ^= h >> 33;
+        }
+        return static_cast<std::size_t>(h);
+    }
+
+    /// Sizes the slot array for twice the rows (at least 1024 slots) and
+    /// slots every row kept so far.
+    void reslot() {
+        slots_.assign(
+            std::bit_ceil(std::max<std::size_t>(1024, 4 * row_off_.size())), 0);
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t r = 0; r + 1 < row_off_.size(); ++r) {
+            const std::size_t off = row_off_[r];
+            std::size_t at =
+                hash(row_idx_.data() + off, row_off_[r + 1] - off) & mask;
+            while (slots_[at] != 0) at = (at + 1) & mask;
+            slots_[at] = static_cast<std::uint32_t>(r + 1);
+        }
+    }
+
+    std::vector<std::size_t> row_off_{0};
+    std::vector<Index> row_idx_;
+    std::vector<std::uint32_t> slots_;  ///< row + 1, 0 = empty
+    std::vector<char> essential_;       ///< per column: some singleton row
+    std::size_t essentials_ = 0;
+    std::uint64_t dups_ = 0;
 };
 
 /// Invokes fn(assignment) for every input minterm of `c` (outputs ignored).
@@ -125,84 +259,64 @@ void for_each_minterm(const CubeSpace& s, const Cube& c, Fn&& fn) {
     }
 }
 
-/// Explicit (ZDD-free) signature-class matrix: enumerate the care on-set
-/// minterms per output, compute each one's covering-column signature and
-/// dedupe in the implicit phase's class order.
-OnsetMatrix onset_matrix_explicit(const pla::Pla& pla, const Cover& columns,
-                                  std::size_t max_rows, Budget* governor) {
+/// Explicit (ZDD-free) signature-class rows: enumerate the care on-set
+/// minterms per output and compute each one's covering-column signature.
+RowSink onset_rows_explicit(const pla::Pla& pla, const Cover& columns,
+                            std::size_t max_rows, Budget* governor) {
+    using Point = std::vector<std::uint64_t>;
     const CubeSpace& s = pla.space();
-    const std::size_t P = columns.size();
     // Enumeration work cap, applied per output across the on+dc cubes.
     constexpr std::uint64_t kPointCap = std::uint64_t{1} << 26;
 
-    OnsetMatrix out;
-    std::map<std::vector<Index>, Index> row_of_signature;
-    std::vector<std::vector<Index>> rows;
-    std::unordered_set<Index> essential_set;
-
+    RowSink sink(columns.size());
     for (std::uint32_t k = 0; k < s.num_outputs; ++k) {
         if (governor != nullptr)
             throw_if_error(governor->check(), "explicit onset rows");
 
-        std::vector<Index> cols_k;
-        for (Index j = 0; j < static_cast<Index>(P); ++j)
-            if (columns[j].out(s, k)) cols_k.push_back(j);
+        const std::vector<Index> cols_k = output_columns(s, columns, k);
 
         // Care on-set points of output k: ON minus DC (Espresso semantics).
-        std::set<std::vector<std::uint64_t>> points;
         std::uint64_t point_budget = kPointCap;
-        const auto charge_cube = [&](const Cube& c) {
-            std::uint32_t free_bits = 0;
-            for (std::uint32_t i = 0; i < s.num_inputs; ++i)
-                if (c.in(s, i) == pla::Lit::kDontCare) ++free_bits;
-            if (free_bits >= 26 ||
-                (std::uint64_t{1} << free_bits) > point_budget)
-                throw ResourceError(
-                    Status::kNodeBudget,
-                    "explicit row enumeration exceeds the point cap");
-            point_budget -= std::uint64_t{1} << free_bits;
+        const auto points_of = [&](const Cover& plane) {
+            std::vector<Point> points;
+            for (const auto& c : plane) {
+                if (!c.out(s, k)) continue;
+                std::uint32_t free_bits = 0;
+                for (std::uint32_t i = 0; i < s.num_inputs; ++i)
+                    if (c.in(s, i) == pla::Lit::kDontCare) ++free_bits;
+                if (free_bits >= 26 ||
+                    (std::uint64_t{1} << free_bits) > point_budget)
+                    throw ResourceError(
+                        Status::kNodeBudget,
+                        "explicit row enumeration exceeds the point cap");
+                point_budget -= std::uint64_t{1} << free_bits;
+                for_each_minterm(s, c,
+                                 [&](const Point& a) { points.push_back(a); });
+            }
+            std::sort(points.begin(), points.end());
+            points.erase(std::unique(points.begin(), points.end()), points.end());
+            return points;
         };
-        for (const auto& c : pla.on) {
-            if (!c.out(s, k)) continue;
-            charge_cube(c);
-            for_each_minterm(s, c, [&](const std::vector<std::uint64_t>& a) {
-                points.insert(a);
-            });
-        }
-        for (const auto& c : pla.dc) {
-            if (!c.out(s, k)) continue;
-            charge_cube(c);
-            for_each_minterm(s, c, [&](const std::vector<std::uint64_t>& a) {
-                points.erase(a);
-            });
-        }
+        const std::vector<Point> on = points_of(pla.on);
+        const std::vector<Point> dc = points_of(pla.dc);
+        std::vector<Point> points;
+        std::set_difference(on.begin(), on.end(), dc.begin(), dc.end(),
+                            std::back_inserter(points));
         if (points.empty()) continue;
-        out.onset_minterms += static_cast<double>(points.size());
+        sink.onset_minterms += static_cast<double>(points.size());
 
-        std::set<std::vector<Index>, MemberFirstLess> sigs;
-        for (const auto& a : points) {
-            std::vector<Index> sig;
-            for (const Index j : cols_k)
-                if (columns[j].covers_assignment(s, a)) sig.push_back(j);
-            if (sig.empty())
-                throw BadInputError("columns do not cover the care on-set");
-            sigs.insert(std::move(sig));
-            if (sigs.size() > max_rows)
-                throw ResourceError(Status::kNodeBudget,
-                                    "signature classes exceed max_rows guard");
+        RecordSet classes((cols_k.size() + 63) / 64);
+        std::vector<std::uint64_t> sig(classes.stride());
+        for (const Point& a : points) {
+            std::fill(sig.begin(), sig.end(), 0);
+            for (std::size_t i = 0; i < cols_k.size(); ++i)
+                if (columns[cols_k[i]].covers_assignment(s, a))
+                    sig[i / 64] |= std::uint64_t{1} << (i % 64);
+            add_class(classes, sig.data(), max_rows);
         }
-        for (const auto& sig : sigs) {
-            if (sig.size() == 1) essential_set.insert(sig[0]);
-            const auto [it, inserted] = row_of_signature.emplace(
-                sig, static_cast<Index>(rows.size()));
-            if (inserted) rows.push_back(it->first);
-        }
+        sink.add_output(classes, cols_k);
     }
-
-    out.essential_columns = essential_set.size();
-    out.matrix =
-        cov::CoverMatrix::from_rows(static_cast<Index>(P), std::move(rows));
-    return out;
+    return sink;
 }
 
 /// The signature classes of one output's care on-set, found by a single
@@ -221,26 +335,27 @@ OnsetMatrix onset_matrix_explicit(const pla::Pla& pla, const Cover& columns,
 /// no node and can never trigger a GC under the caller's held on-set root.
 class SignatureWalk {
 public:
-    using Signatures = std::set<std::vector<Index>, MemberFirstLess>;
-
     /// `cols` are the columns asserting the output, ascending (their local
     /// bit i stands for column cols[i]).
     SignatureWalk(const ZddManager& mgr, const CubeSpace& s,
-                  const Cover& columns, std::vector<Index> cols,
+                  const Cover& columns, const std::vector<Index>& cols,
                   std::size_t max_rows)
         : mgr_(mgr),
           levels_(s.num_inputs),
           words_((cols.size() + 63) / 64),
-          cols_(std::move(cols)),
           max_rows_(max_rows),
           kill0_(levels_ * words_, 0),
           kill1_(levels_ * words_, 0),
           tail_((levels_ + 1) * words_, 0),
-          live_((levels_ + 1) * words_, 0) {
-        for (std::size_t i = 0; i < cols_.size(); ++i) {
+          live_((levels_ + 1) * words_, 0),
+          memo_key_(1 + words_),
+          memo_(1 + words_),
+          classes_(words_) {
+        for (std::size_t i = 0; i < cols.size(); ++i) {
             const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+            live_[i / 64] |= bit;
             for (std::uint32_t v = 0; v < levels_; ++v) {
-                switch (columns[cols_[i]].in(s, v)) {
+                switch (columns[cols[i]].in(s, v)) {
                     case pla::Lit::kOne: kill0_[v * words_ + i / 64] |= bit; break;
                     case pla::Lit::kZero: kill1_[v * words_ + i / 64] |= bit; break;
                     default: break;
@@ -255,12 +370,10 @@ public:
                                         kill1_[v * words_ + w];
     }
 
-    /// Signatures of every minterm of `onset`, in MemberFirstLess order.
-    Signatures run(NodeId onset) {
-        for (std::size_t i = 0; i < cols_.size(); ++i)
-            live_[i / 64] |= std::uint64_t{1} << (i % 64);
+    /// The distinct signatures of the minterms of `onset`.
+    RecordSet run(NodeId onset) {
         walk(onset, 0);
-        return std::move(sigs_);
+        return std::move(classes_);
     }
 
     [[nodiscard]] std::uint64_t states() const noexcept { return states_; }
@@ -281,7 +394,7 @@ private:
         for (std::size_t w = 0; w < words_ && !split; ++w)
             split = (live[w] & tail[w]) != 0;
         if (!split) {
-            emit(live);
+            add_class(classes_, live, max_rows_);
             return;
         }
         // A live literal at level ≥ v exists, so v < levels_ here.
@@ -304,99 +417,37 @@ private:
         walk(child, v + 1);
     }
 
-    void emit(const std::uint64_t* live) {
-        std::vector<Index> sig;
-        for (std::size_t w = 0; w < words_; ++w)
-            for (std::uint64_t bits = live[w]; bits != 0; bits &= bits - 1)
-                sig.push_back(cols_[w * 64 + std::countr_zero(bits)]);
-        if (sig.empty())
-            throw BadInputError("columns do not cover the care on-set");
-        sigs_.insert(std::move(sig));
-        if (sigs_.size() > max_rows_)
-            throw ResourceError(Status::kNodeBudget,
-                                "signature classes exceed max_rows guard");
-    }
-
-    /// Records the branch state; false if it was visited before. Open
-    /// addressing over a flat pool of [node | level << 32, live words...]
-    /// records, so a state costs no allocation (a hash set of key vectors
-    /// measured 12% slower on the suites' onset layer).
+    /// Records the branch state [node | level << 32, live words...]; false
+    /// if it was visited before.
     bool memo_insert(NodeId n, std::uint32_t v, const std::uint64_t* live) {
-        const std::size_t stride = 1 + words_;
-        const std::uint64_t head = n | (static_cast<std::uint64_t>(v) << 32);
-        if (2 * (memo_size_ + 1) > memo_slots_.size()) memo_grow();
-        const std::size_t mask = memo_slots_.size() - 1;
-        for (std::size_t at = memo_hash(head, live) & mask;; at = (at + 1) & mask) {
-            const std::uint32_t e = memo_slots_[at];
-            if (e == 0) {
-                memo_slots_[at] = static_cast<std::uint32_t>(++memo_size_);
-                memo_pool_.push_back(head);
-                memo_pool_.insert(memo_pool_.end(), live, live + words_);
-                return true;
-            }
-            const std::uint64_t* rec = memo_pool_.data() + (e - 1) * stride;
-            if (rec[0] == head && std::equal(live, live + words_, rec + 1))
-                return false;
-        }
-    }
-
-    [[nodiscard]] std::size_t memo_hash(std::uint64_t head,
-                                        const std::uint64_t* live) const noexcept {
-        std::uint64_t h = head * 0x9e3779b97f4a7c15ULL;
-        for (std::size_t w = 0; w < words_; ++w) {
-            h ^= live[w];
-            h *= 0xff51afd7ed558ccdULL;
-            h ^= h >> 33;
-        }
-        return static_cast<std::size_t>(h);
-    }
-
-    /// Doubles the slot array (at least 1024 slots) and re-slots the pool.
-    void memo_grow() {
-        const std::size_t stride = 1 + words_;
-        memo_slots_.assign(std::max<std::size_t>(1024, 2 * memo_slots_.size()), 0);
-        const std::size_t mask = memo_slots_.size() - 1;
-        for (std::size_t e = 0; e < memo_size_; ++e) {
-            const std::uint64_t* rec = memo_pool_.data() + e * stride;
-            std::size_t at = memo_hash(rec[0], rec + 1) & mask;
-            while (memo_slots_[at] != 0) at = (at + 1) & mask;
-            memo_slots_[at] = static_cast<std::uint32_t>(e + 1);
-        }
+        memo_key_[0] = n | (static_cast<std::uint64_t>(v) << 32);
+        std::copy(live, live + words_, memo_key_.begin() + 1);
+        return memo_.insert(memo_key_.data());
     }
 
     const ZddManager& mgr_;
     const std::uint32_t levels_;
     const std::size_t words_;
-    const std::vector<Index> cols_;
     const std::size_t max_rows_;
     std::vector<std::uint64_t> kill0_;  ///< per level: columns with literal x
     std::vector<std::uint64_t> kill1_;  ///< per level: columns with literal x̄
     std::vector<std::uint64_t> tail_;   ///< per level: literal at or below
     std::vector<std::uint64_t> live_;   ///< per depth: the live columns
-    std::vector<std::uint32_t> memo_slots_;  ///< pool entry + 1, 0 = empty
-    std::vector<std::uint64_t> memo_pool_;
-    std::size_t memo_size_ = 0;
+    std::vector<std::uint64_t> memo_key_;
+    RecordSet memo_;
+    RecordSet classes_;
     std::uint64_t states_ = 0;
-    Signatures sigs_;
 };
 
 /// The implicit phase: the care on-set of each output as a minterm ZDD, and
 /// its signature classes from one SignatureWalk over it.
-OnsetMatrix onset_matrix_implicit(const pla::Pla& pla, const Cover& columns,
-                                  std::size_t max_rows,
-                                  const zdd::DdOptions& dd) {
+RowSink onset_rows_implicit(const pla::Pla& pla, const Cover& columns,
+                            std::size_t max_rows, const zdd::DdOptions& dd) {
     const CubeSpace& s = pla.space();
-    const std::size_t P = columns.size();
-
-    OnsetMatrix out;
     ZddManager mgr(s.num_inputs == 0 ? 1 : s.num_inputs, dd);
 
-    // Signature-class rows, deduplicated across outputs.
-    std::map<std::vector<Index>, Index> row_of_signature;
-    std::vector<std::vector<Index>> rows;
-    std::unordered_set<Index> essential_set;
+    RowSink sink(columns.size());
     std::uint64_t states = 0, classes = 0;
-
     for (std::uint32_t k = 0; k < s.num_outputs; ++k) {
         if (mgr.governor() != nullptr)
             throw_if_error(mgr.governor()->check(), "onset signature walk");
@@ -417,49 +468,41 @@ OnsetMatrix onset_matrix_implicit(const pla::Pla& pla, const Cover& columns,
             }
         }
         if (onset.is_empty()) continue;
-        out.onset_minterms += mgr.count(onset);
+        sink.onset_minterms += mgr.count(onset);
 
-        SignatureWalk::Signatures sigs;
+        const std::vector<Index> cols_k = output_columns(s, columns, k);
+        RecordSet sigs(0);
         {
             TRACE_SPAN("table.onset_walk");
-            std::vector<Index> cols_k;
-            for (Index j = 0; j < static_cast<Index>(P); ++j)
-                if (columns[j].out(s, k)) cols_k.push_back(j);
-            SignatureWalk walk(mgr, s, columns, std::move(cols_k), max_rows);
+            SignatureWalk walk(mgr, s, columns, cols_k, max_rows);
             sigs = walk.run(onset.id());
             states += walk.states();
         }
         classes += sigs.size();
-
-        for (const auto& sig : sigs) {
-            if (sig.size() == 1) essential_set.insert(sig[0]);
-            const auto [it, inserted] = row_of_signature.emplace(
-                sig, static_cast<Index>(rows.size()));
-            if (inserted) rows.push_back(it->first);
-        }
+        sink.add_output(sigs, cols_k);
     }
     stats::counter("table.onset_states").add(states);
     stats::counter("table.classes").add(classes);
-
-    out.essential_columns = essential_set.size();
-    out.matrix =
-        cov::CoverMatrix::from_rows(static_cast<Index>(P), std::move(rows));
-    return out;
+    return sink;
 }
 
 }  // namespace
 
 OnsetMatrix onset_covering_matrix(const pla::Pla& pla, const Cover& columns,
                                   std::size_t max_rows,
-                                  const zdd::DdOptions& dd, RowMethod method) {
+                                  const zdd::DdOptions& dd, RowMethod method,
+                                  std::vector<cov::Cost> costs) {
     TRACE_SPAN("table.onset_matrix");
     const CubeSpace& s = pla.space();
     UCP_REQUIRE(s.num_outputs >= 1, "PLA must have at least one output");
     UCP_REQUIRE(columns.space() == s, "column cover space mismatch");
 
+    std::optional<RowSink> rows;
     if (method != RowMethod::kExplicit) {
         try {
-            return onset_matrix_implicit(pla, columns, max_rows, dd);
+            rows.emplace(onset_rows_implicit(pla, columns, max_rows, dd));
+        } catch (const MaxRowsError&) {
+            throw;  // the explicit path would overflow the same guard
         } catch (const ResourceError& e) {
             // Node-budget trips degrade to the explicit path under kAuto;
             // deadline/cancel (and forced-implicit runs) propagate.
@@ -470,7 +513,9 @@ OnsetMatrix onset_covering_matrix(const pla::Pla& pla, const Cover& columns,
             TRACE_INSTANT("budget.zdd_fallback");
         }
     }
-    return onset_matrix_explicit(pla, columns, max_rows, dd.governor);
+    if (!rows)
+        rows.emplace(onset_rows_explicit(pla, columns, max_rows, dd.governor));
+    return std::move(*rows).finish(std::move(costs));
 }
 
 CoveringTable build_covering_table(const pla::Pla& pla,
@@ -490,21 +535,15 @@ CoveringTable build_covering_table(const pla::Pla& pla,
         throw ResourceError(Status::kNodeBudget,
                             "prime count exceeds max_cols guard");
     if (P == 0) {
-        // Empty on-set: nothing to cover.
-        table.matrix = cov::CoverMatrix::from_rows(0, {});
+        // Empty on-set: nothing to cover (the default matrix is 0 × 0).
         table.build_seconds = total.seconds();
         return table;
     }
 
-    OnsetMatrix onset = onset_covering_matrix(pla, table.primes, opt.max_rows,
-                                              opt.dd, opt.row_method);
-    table.onset_minterms = onset.onset_minterms;
-    table.num_essential_primes = onset.essential_columns;
-
     table.column_prime.resize(P);
     for (Index j = 0; j < static_cast<Index>(P); ++j) table.column_prime[j] = j;
 
-    // Column costs per the chosen model.
+    // Column costs per the chosen model; they depend on the primes alone.
     std::vector<cov::Cost> costs(P, 1);
     switch (opt.cost_model) {
         case CostModel::kProducts:
@@ -526,16 +565,13 @@ CoveringTable build_covering_table(const pla::Pla& pla,
                     1, table.primes[j].input_literal_count(s));
             break;
     }
-    // Rebuild with the chosen costs (rows are identical).
-    {
-        std::vector<std::vector<Index>> rows;
-        rows.reserve(onset.matrix.num_rows());
-        for (Index i = 0; i < onset.matrix.num_rows(); ++i)
-            rows.push_back(onset.matrix.row(i));
-        table.matrix = cov::CoverMatrix::from_rows(static_cast<Index>(P),
-                                                   std::move(rows),
-                                                   std::move(costs));
-    }
+
+    OnsetMatrix onset = onset_covering_matrix(pla, table.primes, opt.max_rows,
+                                              opt.dd, opt.row_method,
+                                              std::move(costs));
+    table.matrix = std::move(onset.matrix);
+    table.onset_minterms = onset.onset_minterms;
+    table.num_essential_primes = onset.essential_columns;
     table.build_seconds = total.seconds();
     return table;
 }

@@ -46,7 +46,8 @@ enum class PrimeMethod {
 /// the explicit minterm-enumeration path — recording the switch in the
 /// "budget.zdd_fallbacks" stats counter. Both paths produce the identical
 /// matrix (same rows in the same order), so the fallback changes wall-clock
-/// and memory shape, never the answer.
+/// and memory shape, never the answer. The max_rows guard is not a trip: the
+/// explicit path finds the same classes, so it fails with kNodeBudget at once.
 enum class RowMethod {
     kAuto,      ///< implicit with graceful explicit fallback
     kImplicit,  ///< ZDD signature walk only (trips propagate)
@@ -80,7 +81,7 @@ struct TableBuildOptions {
 
 struct CoveringTable {
     pla::Cover primes;       ///< the columns (multi-output prime implicants)
-    cov::CoverMatrix matrix; ///< rows = signature classes, unit costs
+    cov::CoverMatrix matrix; ///< rows = signature classes; costs per cost_model
     std::size_t num_essential_primes = 0;  ///< singleton-signature classes
     double onset_minterms = 0.0;  ///< Σ_k |U_k| — the uncollapsed row count
     double build_seconds = 0.0;
@@ -109,11 +110,11 @@ CoveringTable build_covering_table(const pla::Pla& pla,
 
 /// The generic implicit-phase core: the covering matrix of an arbitrary
 /// candidate column cover against the PLA's care on-set (signature-class
-/// rows, unit costs). Columns that cover no care on-set point get empty
-/// column supports. Throws std::invalid_argument if `columns` does not cover
-/// the whole on-set. Used by build_covering_table (columns = primes) and by
-/// the exact IRREDUNDANT step of the Espresso strong mode (columns = the
-/// current cover's cubes).
+/// rows; `costs` are the column costs, empty for unit costs). Columns that
+/// cover no care on-set point get empty column supports. Throws
+/// std::invalid_argument if `columns` does not cover the whole on-set. Used
+/// by build_covering_table (columns = primes) and by the exact IRREDUNDANT
+/// step of the Espresso strong mode (columns = the current cover's cubes).
 struct OnsetMatrix {
     cov::CoverMatrix matrix;
     double onset_minterms = 0.0;
@@ -123,7 +124,8 @@ OnsetMatrix onset_covering_matrix(const pla::Pla& pla,
                                   const pla::Cover& columns,
                                   std::size_t max_rows = 50'000,
                                   const zdd::DdOptions& dd = {},
-                                  RowMethod method = RowMethod::kAuto);
+                                  RowMethod method = RowMethod::kAuto,
+                                  std::vector<cov::Cost> costs = {});
 
 /// Converts a covering-matrix solution (matrix column indices) back to a
 /// two-level cover (subset of `table.primes`).

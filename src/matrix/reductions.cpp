@@ -458,59 +458,68 @@ InplaceReduceResult reduce_inplace(SubMatrix& view, const ReduceDirt& dirt,
     return res;
 }
 
-std::vector<Partition> partition_blocks(const CoverMatrix& m) {
+BlockLabels label_blocks(const CoverMatrix& m) {
     const Index R = m.num_rows();
-    const Index C = m.num_cols();
-    constexpr Index kNone = ~Index{0};
-    std::vector<Index> row_block(R, kNone), col_block(C, kNone);
+    BlockLabels l;
+    l.row_block.assign(R, kNoBlock);
+    l.col_block.assign(m.num_cols(), kNoBlock);
 
-    Index num_blocks = 0;
+    std::vector<Index> queue;
     for (Index start = 0; start < R; ++start) {
-        if (row_block[start] != kNone) continue;
-        const Index b = num_blocks++;
+        if (l.row_block[start] != kNoBlock) continue;
+        const Index b = l.num_blocks++;
         // BFS over the bipartite incidence graph.
-        std::vector<Index> queue{start};
-        row_block[start] = b;
+        queue.assign(1, start);
+        l.row_block[start] = b;
         while (!queue.empty()) {
             const Index i = queue.back();
             queue.pop_back();
             for (const Index j : m.row(i)) {
-                if (col_block[j] != kNone) continue;
-                col_block[j] = b;
+                if (l.col_block[j] != kNoBlock) continue;
+                l.col_block[j] = b;
                 for (const Index i2 : m.col(j)) {
-                    if (row_block[i2] != kNone) continue;
-                    row_block[i2] = b;
+                    if (l.row_block[i2] != kNoBlock) continue;
+                    l.row_block[i2] = b;
                     queue.push_back(i2);
                 }
             }
         }
     }
+    return l;
+}
 
-    std::vector<Partition> blocks(num_blocks);
-    std::vector<std::vector<std::vector<Index>>> rows(num_blocks);
-    std::vector<std::vector<Cost>> costs(num_blocks);
-    std::vector<Index> col_new(C, 0);
-    for (Index j = 0; j < C; ++j) {
-        const Index b = col_block[j];
-        if (b == kNone) continue;  // column covers nothing: drop
+std::vector<Partition> build_blocks(const CoverMatrix& m, const BlockLabels& l) {
+    static stats::Counter& c_builds = stats::counter("matrix.block_builds");
+    c_builds.add();
+    const Index B = l.num_blocks;
+    std::vector<Partition> blocks(B);
+    std::vector<std::vector<std::size_t>> row_off(B, std::vector<std::size_t>{0});
+    std::vector<std::vector<Index>> row_idx(B);
+    std::vector<std::vector<Cost>> costs(B);
+    std::vector<Index> col_new(m.num_cols(), 0);
+    for (Index j = 0; j < m.num_cols(); ++j) {
+        const Index b = l.col_block[j];
+        if (b == kNoBlock) continue;  // column covers nothing: drop
         col_new[j] = static_cast<Index>(blocks[b].col_map.size());
         blocks[b].col_map.push_back(j);
         costs[b].push_back(m.cost(j));
     }
-    for (Index i = 0; i < R; ++i) {
-        const Index b = row_block[i];
-        std::vector<Index> r;
-        r.reserve(m.row(i).size());
-        for (const Index j : m.row(i)) r.push_back(col_new[j]);
-        rows[b].push_back(std::move(r));
+    // col_new is increasing within a block, so renamed rows stay sorted.
+    for (Index i = 0; i < m.num_rows(); ++i) {
+        const Index b = l.row_block[i];
+        for (const Index j : m.row(i)) row_idx[b].push_back(col_new[j]);
+        row_off[b].push_back(row_idx[b].size());
         blocks[b].row_map.push_back(i);
     }
-    for (Index b = 0; b < num_blocks; ++b) {
-        blocks[b].matrix = CoverMatrix::from_rows(
-            static_cast<Index>(blocks[b].col_map.size()), std::move(rows[b]),
-            std::move(costs[b]));
-    }
+    for (Index b = 0; b < B; ++b)
+        blocks[b].matrix = CoverMatrix::from_csr(
+            static_cast<Index>(blocks[b].col_map.size()), std::move(row_off[b]),
+            std::move(row_idx[b]), std::move(costs[b]));
     return blocks;
+}
+
+std::vector<Partition> partition_blocks(const CoverMatrix& m) {
+    return build_blocks(m, label_blocks(m));
 }
 
 }  // namespace ucp::cov

@@ -132,8 +132,29 @@ struct Partition {
     std::vector<Index> row_map;  ///< block row -> original row
 };
 
-/// Splits `m` into its connected components. Columns covering no row are
-/// dropped (they belong to no block and to no optimal solution).
+/// Block label of a column covering no row.
+inline constexpr Index kNoBlock = ~Index{0};
+
+/// Connected-component labels of a matrix's rows and columns. Blocks are
+/// numbered in the order a BFS from the lowest unlabelled row finds them.
+struct BlockLabels {
+    std::vector<Index> row_block;
+    std::vector<Index> col_block;  ///< kNoBlock for a column covering no row
+    Index num_blocks = 0;
+};
+
+/// Labels the blocks of `m` without copying anything, so a caller can skip
+/// the split when there is a single block.
+BlockLabels label_blocks(const CoverMatrix& m);
+
+/// Materialises the blocks of `labels` (from label_blocks(m)) in label
+/// order; each block keeps its rows' and columns' relative order. Columns
+/// covering no row are dropped (they belong to no block and to no optimal
+/// solution).
+std::vector<Partition> build_blocks(const CoverMatrix& m,
+                                    const BlockLabels& labels);
+
+/// Splits `m` into its connected components: build_blocks(m, label_blocks(m)).
 std::vector<Partition> partition_blocks(const CoverMatrix& m);
 
 }  // namespace ucp::cov

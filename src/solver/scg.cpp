@@ -124,8 +124,10 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt);
 /// One full descent (partitioning + per-block SCG) with a single seed.
 ScgResult solve_scg_one_start(const CoverMatrix& m, const ScgOptions& opt) {
     // Partitioning reduction (paper §2): solve independent blocks separately.
-    const auto blocks = cov::partition_blocks(m);
-    if (blocks.size() <= 1) return solve_scg_single(m, opt);
+    // A single block is solved on `m` itself, without building its copy.
+    const cov::BlockLabels labels = cov::label_blocks(m);
+    if (labels.num_blocks <= 1) return solve_scg_single(m, opt);
+    const auto blocks = cov::build_blocks(m, labels);
 
     Timer timer;
     ScgResult out;
@@ -136,17 +138,13 @@ ScgResult solve_scg_one_start(const CoverMatrix& m, const ScgOptions& opt) {
     // belong to no block — they cannot be part of an irredundant cover.)
     std::vector<std::vector<Index>> warm_local(blocks.size());
     if (!opt.warm_solution.empty()) {
-        constexpr Index kNoBlock = static_cast<Index>(-1);
-        std::vector<Index> block_of(m.num_cols(), kNoBlock);
         std::vector<Index> local_of(m.num_cols(), 0);
-        for (std::size_t b = 0; b < blocks.size(); ++b)
-            for (std::size_t k = 0; k < blocks[b].col_map.size(); ++k) {
-                block_of[blocks[b].col_map[k]] = static_cast<Index>(b);
-                local_of[blocks[b].col_map[k]] = static_cast<Index>(k);
-            }
+        for (const auto& block : blocks)
+            for (std::size_t k = 0; k < block.col_map.size(); ++k)
+                local_of[block.col_map[k]] = static_cast<Index>(k);
         for (const Index j : opt.warm_solution)
-            if (j < m.num_cols() && block_of[j] != kNoBlock)
-                warm_local[block_of[j]].push_back(local_of[j]);
+            if (j < m.num_cols() && labels.col_block[j] != cov::kNoBlock)
+                warm_local[labels.col_block[j]].push_back(local_of[j]);
     }
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         const auto& block = blocks[b];

@@ -33,13 +33,44 @@ std::string Options::get(const std::string& name, const std::string& fallback) c
 long Options::get_int(const std::string& name, long fallback) const {
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    return std::stol(it->second);
+    std::size_t used = 0;
+    long v = 0;
+    try {
+        v = std::stol(it->second, &used);
+    } catch (const std::exception&) {
+        used = 0;
+    }
+    if (used == 0 || used != it->second.size())
+        throw std::invalid_argument("--" + name + ": want an integer, got '" +
+                                    it->second + "'");
+    return v;
+}
+
+std::size_t Options::get_count(const std::string& name,
+                               std::size_t fallback) const {
+    if (!has(name)) return fallback;
+    const long v = get_int(name, 0);
+    if (v < 0)
+        throw std::invalid_argument("--" + name +
+                                    ": want a non-negative integer, got '" +
+                                    get(name) + "'");
+    return static_cast<std::size_t>(v);
 }
 
 double Options::get_double(const std::string& name, double fallback) const {
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    return std::stod(it->second);
+    std::size_t used = 0;
+    double v = 0.0;
+    try {
+        v = std::stod(it->second, &used);
+    } catch (const std::exception&) {
+        used = 0;
+    }
+    if (used == 0 || used != it->second.size())
+        throw std::invalid_argument("--" + name + ": want a number, got '" +
+                                    it->second + "'");
+    return v;
 }
 
 bool Options::get_bool(const std::string& name, bool fallback) const {

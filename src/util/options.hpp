@@ -5,6 +5,7 @@
 // (`unknown` returns the keys outside the set a binary accepts).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,7 +22,14 @@ public:
 
     [[nodiscard]] std::string get(const std::string& name,
                                   const std::string& fallback = "") const;
+    /// The integer value of --name, or `fallback` if absent. A value that
+    /// is not a whole integer throws std::invalid_argument naming the flag.
     [[nodiscard]] long get_int(const std::string& name, long fallback) const;
+    /// get_int for a count or size: a negative value also throws.
+    [[nodiscard]] std::size_t get_count(const std::string& name,
+                                        std::size_t fallback) const;
+    /// The numeric value of --name, or `fallback` if absent; a value that is
+    /// not a number throws std::invalid_argument naming the flag.
     [[nodiscard]] double get_double(const std::string& name, double fallback) const;
     [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 

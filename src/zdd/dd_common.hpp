@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -103,10 +104,12 @@ inline std::uint64_t dd_cache_key(std::uint8_t op, std::uint32_t a,
     return h;
 }
 
+/// The least power of two ≥ n (1 for n = 0), saturating at the top bit: a
+/// larger n has no power of two to round to.
 inline std::size_t dd_round_pow2(std::size_t n) noexcept {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
+    constexpr std::size_t kTop = std::size_t{1}
+                                 << (std::numeric_limits<std::size_t>::digits - 1);
+    return n > kTop ? kTop : std::bit_ceil(n);
 }
 
 /// Index of the lowest set bit (n must be non-zero).
@@ -236,7 +239,8 @@ public:
 
     ComputedCache(std::size_t entries, std::size_t max_entries)
         : max_entries_(dd_round_pow2(max_entries)) {
-        const std::size_t cap = dd_round_pow2(entries < kWays ? kWays : entries);
+        const std::size_t cap = dd_round_pow2(
+            std::clamp(entries, kWays, std::max(max_entries_, kWays)));
         sets_.assign(cap / kWays, Set{});
         set_mask_ = sets_.size() - 1;
         check_interval_ = capacity() / 2;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regression: minimize_pla must turn filesystem failures into diagnostics +
-# exit code 2 (and a {"status": ...} document in --json mode), never an
-# uncaught exception or a silent success. Registered as the ctest
+# Regression: minimize_pla must turn filesystem failures, bad option values
+# and a missing input into diagnostics + exit code 2 (and a {"status": ...}
+# document in --json mode), never an uncaught exception, a hang or a silent
+# success. Registered as the ctest
 # `test_cli_io_errors`; $1 is the minimize_pla binary.
 set -u
 
@@ -67,6 +68,30 @@ expect_status writable-out ok "$TMP/out"
 "$BIN" --batch=bench1 "$TMP/missing.pla" --json >"$TMP/out" 2>/dev/null; rc=$?
 check batch-unreadable 2 $rc
 expect_status batch-unreadable io_error "$TMP/out"
+
+# Bad option values: the bad_input document in --json mode, exit 2. The
+# timeout guards against a hang (a negative cache size once spun forever).
+for arg in --zdd-chain=maybe --trace-level=loud --trace-format=xml \
+           --solver=magic --zdd-cache-entries=-5 --zdd-cache-entries=lots; do
+  timeout 60 "$BIN" --instance=bench1 --json "$arg" >"$TMP/out" 2>"$TMP/err"
+  rc=$?
+  check "bad-value $arg" 2 $rc
+  expect_status "bad-value $arg" bad_input "$TMP/out"
+  grep -q -- "${arg%%=*}" "$TMP/err" || {
+    echo "FAIL bad-value $arg: diagnostic does not name the flag"
+    fails=$((fails + 1)); }
+done
+
+# No input at all: same contract.
+"$BIN" --json >"$TMP/out" 2>/dev/null; rc=$?
+check no-input 2 $rc
+expect_status no-input bad_input "$TMP/out"
+
+# A cache size above the managers' ceiling is clamped to it, not allocated.
+timeout 60 "$BIN" --instance=bench1 --json --zdd-cache-entries=4294967296 \
+  >"$TMP/out" 2>/dev/null; rc=$?
+check huge-cache 0 $rc
+expect_status huge-cache ok "$TMP/out"
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

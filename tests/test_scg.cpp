@@ -10,6 +10,7 @@
 
 #include "gen/scp_gen.hpp"
 #include "gen/suites.hpp"
+#include "matrix/reductions.hpp"
 #include "solver/bnb.hpp"
 #include "solver/greedy.hpp"
 #include "solver/scg.hpp"
@@ -95,6 +96,39 @@ TEST(Scg, CyclicCores) {
         EXPECT_EQ(r.cost, static_cast<Cost>((n + k - 1) / k))
             << "C(" << n << "," << k << ")";
     }
+}
+
+TEST(Scg, SingleBlockIsSolvedWithoutACopy) {
+    ucp::stats::Counter& builds = ucp::stats::counter("matrix.block_builds");
+    const CoverMatrix m = ucp::gen::cyclic_matrix(14, 4);
+    ASSERT_EQ(ucp::cov::label_blocks(m).num_blocks, 1u);
+    const auto before = builds.value();
+    const auto r = solve_scg(m);
+    EXPECT_EQ(builds.value(), before) << "the single block was copied";
+
+    // Same answer as solving the block's copy.
+    const auto blocks = ucp::cov::partition_blocks(m);
+    ASSERT_EQ(blocks.size(), 1u);
+    const auto want = solve_scg(blocks[0].matrix);
+    std::vector<Index> mapped;
+    for (const Index j : want.solution) mapped.push_back(blocks[0].col_map[j]);
+    EXPECT_EQ(r.solution, mapped);
+    EXPECT_EQ(r.cost, want.cost);
+    EXPECT_EQ(r.lower_bound, want.lower_bound);
+
+    // Two blocks are still split, once per start.
+    std::vector<std::vector<Index>> rows;
+    for (Index i = 0; i < m.num_rows(); ++i) {
+        rows.push_back(m.row(i));
+        std::vector<Index> shifted;
+        for (const Index j : m.row(i)) shifted.push_back(j + m.num_cols());
+        rows.push_back(std::move(shifted));
+    }
+    const CoverMatrix twice = CoverMatrix::from_rows(2 * m.num_cols(), rows);
+    const auto before_two = builds.value();
+    const auto r2 = solve_scg(twice);
+    EXPECT_EQ(builds.value(), before_two + 1);
+    EXPECT_EQ(r2.cost, 2 * r.cost);
 }
 
 TEST(Scg, DeterministicForFixedSeed) {

@@ -4,14 +4,18 @@
 // rows in the same order) under both node encodings and a thrashing cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
+#include "cover/signature_set.hpp"
 #include "cover/table_builder.hpp"
 #include "gen/pla_gen.hpp"
 #include "solver/bnb.hpp"
 #include "util/budget.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -259,12 +263,69 @@ TEST(TableBuilder, SignatureWalkRejectsUncoveredOnset) {
 TEST(TableBuilder, SignatureWalkKeepsMaxRowsGuard) {
     const Pla p = ucp::gen::parity_pla(6);  // 32 singleton classes
     const CoveringTable t = build_covering_table(p);
-    try {
-        (void)ucp::cover::onset_covering_matrix(p, t.primes, 8, {},
-                                                RowMethod::kImplicit);
-        FAIL() << "max_rows guard did not fire";
-    } catch (const ucp::ResourceError& e) {
-        EXPECT_EQ(e.status(), ucp::Status::kNodeBudget);
+    // Under kAuto the overflow fails at once: the explicit path would find
+    // the same classes and overflow the same guard.
+    for (const RowMethod m : {RowMethod::kImplicit, RowMethod::kAuto}) {
+        const auto fallbacks =
+            ucp::stats::counter("budget.zdd_fallbacks").value();
+        try {
+            (void)ucp::cover::onset_covering_matrix(p, t.primes, 8, {}, m);
+            ADD_FAILURE() << "max_rows guard did not fire";
+        } catch (const ucp::ResourceError& e) {
+            EXPECT_EQ(e.status(), ucp::Status::kNodeBudget);
+        }
+        EXPECT_EQ(ucp::stats::counter("budget.zdd_fallbacks").value(), fallbacks)
+            << "the max_rows overflow fell back to the explicit path";
+    }
+}
+
+/// The vector form of the row order, as the row paths once sorted it.
+bool member_first_less(const std::vector<Index>& a, const std::vector<Index>& b) {
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t t = 0; t < n; ++t)
+        if (a[t] != b[t]) return a[t] < b[t];
+    return a.size() > b.size();
+}
+
+TEST(TableBuilder, BitsetOrderMatchesMemberFirstLess) {
+    ucp::Rng rng(4711);
+    for (const Index cols : {5u, 64u, 65u, 130u, 190u}) {
+        SCOPED_TRACE(std::to_string(cols) + " columns");
+        const std::size_t words = (cols + 63) / 64;
+        ucp::cover::RecordSet set(words);
+        std::vector<std::vector<Index>> lists;  // by insertion index
+        const auto add = [&](const std::vector<Index>& list) {
+            std::vector<std::uint64_t> bits(words, 0);
+            for (const Index c : list) bits[c / 64] |= std::uint64_t{1} << (c % 64);
+            if (set.insert(bits.data())) lists.push_back(list);
+        };
+        for (int t = 0; t < 300; ++t) {
+            std::vector<Index> list;
+            const std::uint64_t density = 2 + rng.below(12);
+            for (Index c = 0; c < cols; ++c)
+                if (rng.below(density) == 0) list.push_back(c);
+            if (list.empty()) continue;
+            add(list);
+            // A proper prefix (it may end in any word) and a variant that
+            // differs in one of the highest columns.
+            add(std::vector<Index>(list.begin(),
+                                   list.begin() + 1 + rng.below(list.size())));
+            std::vector<Index> variant = list;
+            const Index hi =
+                cols - 1 - static_cast<Index>(rng.below(std::min<Index>(cols, 40)));
+            const auto at = std::lower_bound(variant.begin(), variant.end(), hi);
+            if (at != variant.end() && *at == hi)
+                variant.erase(at);
+            else
+                variant.insert(at, hi);
+            if (!variant.empty()) add(variant);
+        }
+        std::vector<std::uint32_t> want(lists.size());
+        std::iota(want.begin(), want.end(), 0U);
+        std::sort(want.begin(), want.end(), [&](std::uint32_t a, std::uint32_t b) {
+            return member_first_less(lists[a], lists[b]);
+        });
+        EXPECT_EQ(ucp::cover::member_first_order(set), want);
     }
 }
 

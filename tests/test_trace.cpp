@@ -39,6 +39,12 @@ const bool g_env_cleared = [] {
     return true;
 }();
 
+/// Cases that assert on recorded events skip in a -DUCP_TRACE=OFF build,
+/// where the TRACE_* macros record nothing.
+#define SKIP_IF_COMPILED_OUT()    \
+    if (!trace::compiled_in())    \
+    GTEST_SKIP() << "tracing compiled out (-DUCP_TRACE=OFF)"
+
 /// RAII guard: always leaves tracing disarmed and empty, even on ASSERT exit.
 struct TraceSession {
     explicit TraceSession(trace::Level lvl) { trace::start(lvl); }
@@ -88,6 +94,7 @@ TEST(Trace, DisarmedByDefaultAndRecordsNothing) {
 }
 
 TEST(Trace, PhaseLevelSkipsIterRecords) {
+    SKIP_IF_COMPILED_OUT();
     TraceSession session(trace::Level::kPhase);
     EXPECT_TRUE(trace::active(trace::Level::kPhase));
     EXPECT_FALSE(trace::active(trace::Level::kIter));
@@ -118,6 +125,7 @@ TEST(Trace, ParseLevelRoundTrips) {
 // ---- span nesting and ordering ----------------------------------------------
 
 TEST(Trace, SpanNestingSingleThread) {
+    SKIP_IF_COMPILED_OUT();
     TraceSession session(trace::Level::kPhase);
     {
         TRACE_SPAN("outer");
@@ -158,6 +166,7 @@ TEST(Trace, SpanNestingSingleThread) {
 }
 
 TEST(Trace, SpanNestingFourThreads) {
+    SKIP_IF_COMPILED_OUT();
     TraceSession session(trace::Level::kPhase);
     constexpr int kThreads = 4;
     {
@@ -195,6 +204,7 @@ TEST(Trace, SpanNestingFourThreads) {
 }
 
 TEST(Trace, SpanCounterDeltas) {
+    SKIP_IF_COMPILED_OUT();
     // The span must observe exactly the tracked-counter activity inside it.
     std::size_t slot = trace::kNumTracked;
     for (std::size_t k = 0; k < trace::kNumTracked; ++k)
@@ -215,6 +225,7 @@ TEST(Trace, SpanCounterDeltas) {
 // ---- convergence event channel ----------------------------------------------
 
 TEST(Trace, SubgradientChannelCompleteOnPinnedInstance) {
+    SKIP_IF_COMPILED_OUT();
     const CoverMatrix m = scp_instance(2026);
 
     // Reference run (untraced) pins the iteration count.
@@ -263,6 +274,7 @@ TEST(Trace, SubgradientChannelCompleteOnPinnedInstance) {
 // ---- JSONL schema -----------------------------------------------------------
 
 TEST(Trace, JsonlSchema) {
+    SKIP_IF_COMPILED_OUT();
     TraceSession session(trace::Level::kIter);
     {
         TRACE_SPAN("alpha");
@@ -346,6 +358,7 @@ TEST(Trace, TimestampsAreFixedPointMicroseconds) {
 }
 
 TEST(Trace, ChromeExportIsSingleJsonObject) {
+    SKIP_IF_COMPILED_OUT();
     TraceSession session(trace::Level::kPhase);
     {
         TRACE_SPAN("alpha");
@@ -364,6 +377,7 @@ TEST(Trace, ChromeExportIsSingleJsonObject) {
 // ---- fault interaction: fallback instants are exactly the counter delta -----
 
 TEST(Trace, FallbackInstantsMatchCounterExactly) {
+    SKIP_IF_COMPILED_OUT();
     // alloc:1 fails the first DD node charge, so the implicit phases trip and
     // the table builder takes its explicit fallbacks. Each counter bump must
     // emit exactly one instant — no double emission, none missing.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "util/check.hpp"
@@ -99,6 +100,26 @@ TEST(Options, ParsesFlagsValuesAndPositionals) {
     ASSERT_EQ(o.positional().size(), 1u);
     EXPECT_EQ(o.positional()[0], "file.pla");
     EXPECT_EQ(o.keys().size(), 4u);
+}
+
+TEST(Options, NumericFlagsRejectBadValuesNamingTheFlag) {
+    const char* argv[] = {"prog", "--n=12abc", "--m=lots", "--k=-5", "--c=7"};
+    const Options o(5, argv);
+    for (const char* name : {"n", "m"}) {
+        try {
+            (void)o.get_int(name, 0);
+            ADD_FAILURE() << "--" << name << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW((void)o.get_double("m", 0.0), std::invalid_argument);
+    EXPECT_EQ(o.get_int("k", 0), -5);
+    EXPECT_THROW((void)o.get_count("k", 0), std::invalid_argument);
+    EXPECT_EQ(o.get_count("c", 0), 7u);
+    EXPECT_EQ(o.get_count("missing", 3), 3u);
 }
 
 TEST(Options, UnknownListsKeysOutsideTheAcceptedSet) {
