@@ -32,6 +32,7 @@
 #include "util/mem_budget.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {
@@ -83,6 +84,13 @@ void print_json(std::ostream& os, const ucp::solver::TwoLevelResult& r) {
 /// same answers either way). Reports the covering-level result per instance —
 /// products, bound, core shape — not the full two-level lift.
 int run_batch(const ucp::Options& opts, bool json) {
+    const std::size_t threads = opts.get_count("threads", 1);
+    if (threads > ucp::ThreadPool::kMaxThreads)
+        return fail(ucp::Status::kBadInput,
+                    "--threads: want at most " +
+                        std::to_string(ucp::ThreadPool::kMaxThreads) +
+                        ", got '" + opts.get("threads") + "'",
+                    json);
     std::vector<std::string> names;
     std::vector<ucp::pla::Pla> plas;
     const std::string list = opts.get("batch");
@@ -124,7 +132,7 @@ int run_batch(const ucp::Options& opts, bool json) {
         mats.push_back(&tables.back().matrix);
     }
     ucp::solver::BatchOptions bopt;
-    bopt.num_threads = static_cast<int>(opts.get_int("threads", 1));
+    bopt.num_threads = static_cast<int>(threads);
     bopt.mem_budget_per_item = opts.get_count("mem-budget-item-mb", 0) << 20;
     const ucp::solver::BatchSolver solver(bopt);
     const auto res = solver.solve(mats);

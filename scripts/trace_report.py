@@ -24,6 +24,7 @@ import sys
 # Span-name prefix -> DESIGN.md section. Longest matching prefix wins.
 PHASE_SECTIONS = {
     "two_level": "§6",
+    "two_level.verify": "§6",
     "scg": "§6",
     "subgradient": "§6",
     "dual_ascent": "§6",
@@ -238,12 +239,13 @@ def report(stream, out, phases_only=False):
 
 
 SAMPLE = """\
-{"type": "meta", "version": 1, "level": "iter", "spans": 14, "iter_events": 4, "instants": 1, "dropped": 0, "clock": "steady", "time_unit": "us"}
+{"type": "meta", "version": 1, "level": "iter", "spans": 15, "iter_events": 4, "instants": 1, "dropped": 0, "clock": "steady", "time_unit": "us"}
 {"type": "span", "name": "two_level", "tid": 0, "depth": 0, "ts_us": 0.0, "dur_us": 1000.0, "counters": {}}
 {"type": "span", "name": "two_level.build_table", "tid": 0, "depth": 1, "ts_us": 10.0, "dur_us": 200.0, "counters": {"zdd.cache_hits": 50, "zdd.cache_misses": 10}}
 {"type": "span", "name": "implicit_primes", "tid": 0, "depth": 2, "ts_us": 20.0, "dur_us": 150.0, "counters": {"zdd.cache_hits": 40, "zdd.chain_nodes_made": 12, "zdd.chain_hits": 30}}
 {"type": "span", "name": "scg", "tid": 0, "depth": 1, "ts_us": 300.0, "dur_us": 600.0, "counters": {"subgradient.iterations": 40}}
 {"type": "span", "name": "subgradient", "tid": 0, "depth": 2, "ts_us": 320.0, "dur_us": 400.0, "counters": {"subgradient.iterations": 40}}
+{"type": "span", "name": "two_level.verify", "tid": 0, "depth": 1, "ts_us": 920.0, "dur_us": 60.0, "counters": {}}
 {"type": "span", "name": "reduce", "tid": 1, "depth": 0, "ts_us": 5.0, "dur_us": 50.0, "counters": {"reduce.passes": 3}}
 {"type": "span", "name": "portfolio", "tid": 2, "depth": 0, "ts_us": 0.0, "dur_us": 900.0, "counters": {}}
 {"type": "span", "name": "rwls", "tid": 2, "depth": 1, "ts_us": 100.0, "dur_us": 500.0, "counters": {}}
@@ -265,11 +267,14 @@ def selftest():
     meta, spans, iters, instants, errors = parse(io.StringIO(SAMPLE))
     assert not errors, errors
     assert meta is not None and meta["version"] == 1
-    assert len(spans) == 14 and len(iters) == 4 and len(instants) == 1
+    assert len(spans) == 15 and len(iters) == 4 and len(instants) == 1
 
     per = self_times(spans)
-    # two_level(1000) has children build_table(200) + scg(600) -> self 200.
-    assert abs(per["two_level"][1] - 200.0) < 1e-6, per["two_level"]
+    # two_level(1000) has children build_table(200) + scg(600) + verify(60)
+    # -> self 140; verification is its own §6 phase, not two_level self time.
+    assert abs(per["two_level"][1] - 140.0) < 1e-6, per["two_level"]
+    assert abs(per["two_level.verify"][1] - 60.0) < 1e-6
+    assert section_of("two_level.verify") == "§6"
     # scg(600) has child subgradient(400) -> self 200.
     assert abs(per["scg"][1] - 200.0) < 1e-6, per["scg"]
     # Two build_table spans: on tid 0, build_table(200) has child

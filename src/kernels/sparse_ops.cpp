@@ -1,10 +1,7 @@
-// Portable scalar reference implementations + runtime dispatch.
-//
-// The scalar loops below are the semantic definition of every kernel: the
-// AVX2 translation unit (sparse_ops_avx2.cpp) must reproduce their output
-// bits exactly. Keep them boring — one obvious loop each, no manual
-// unrolling — so the differential tests compare against the same code a
-// -DUCP_SIMD=OFF build runs.
+// One plain loop per kernel shape (sparse_ops.hpp). The masked elementwise
+// loops compute the new value for every lane and store `alive ? v : x`, so
+// a dead lane is written back with its own bits and the compiler can
+// vectorize the loop at the baseline ISA (DESIGN.md §10).
 
 #include "kernels/sparse_ops.hpp"
 
@@ -16,8 +13,6 @@
 
 namespace ucp::kern {
 
-namespace scalar_impl {
-
 void step_clamp_nonneg(double* x, const double* d, double step,
                        const char* alive, std::size_t n) {
     if (alive == nullptr) {
@@ -25,8 +20,10 @@ void step_clamp_nonneg(double* x, const double* d, double step,
             x[i] = std::max(x[i] + step * d[i], 0.0);
         return;
     }
-    for (std::size_t i = 0; i < n; ++i)
-        if (alive[i]) x[i] = std::max(x[i] + step * d[i], 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double v = std::max(x[i] + step * d[i], 0.0);
+        x[i] = alive[i] ? v : x[i];
+    }
 }
 
 void step_clamp01(double* x, const double* d, double step, const char* alive,
@@ -36,8 +33,10 @@ void step_clamp01(double* x, const double* d, double step, const char* alive,
             x[i] = std::clamp(x[i] - step * d[i], 0.0, 1.0);
         return;
     }
-    for (std::size_t i = 0; i < n; ++i)
-        if (alive[i]) x[i] = std::clamp(x[i] - step * d[i], 0.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double v = std::clamp(x[i] - step * d[i], 0.0, 1.0);
+        x[i] = alive[i] ? v : x[i];
+    }
 }
 
 void rsub_masked(double* x, const double* c, const char* alive,
@@ -46,8 +45,10 @@ void rsub_masked(double* x, const double* c, const char* alive,
         for (std::size_t i = 0; i < n; ++i) x[i] = c[i] - x[i];
         return;
     }
-    for (std::size_t i = 0; i < n; ++i)
-        if (alive[i]) x[i] = c[i] - x[i];
+    for (std::size_t i = 0; i < n; ++i) {
+        const double v = c[i] - x[i];
+        x[i] = alive[i] ? v : x[i];
+    }
 }
 
 void copy_masked(double* dst, const double* src, const char* alive,
@@ -56,14 +57,16 @@ void copy_masked(double* dst, const double* src, const char* alive,
         for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
         return;
     }
-    for (std::size_t i = 0; i < n; ++i)
-        if (alive[i]) dst[i] = src[i];
+    for (std::size_t i = 0; i < n; ++i) {
+        const double v = src[i];
+        dst[i] = alive[i] ? v : dst[i];
+    }
 }
 
 void select_fill(double* x, double v_alive, double v_dead, const char* alive,
                  std::size_t n) {
     if (alive == nullptr) {
-        for (std::size_t i = 0; i < n; ++i) x[i] = v_alive;
+        fill(x, v_alive, n);
         return;
     }
     for (std::size_t i = 0; i < n; ++i) x[i] = alive[i] ? v_alive : v_dead;
@@ -73,26 +76,10 @@ void fill(double* x, double v, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) x[i] = v;
 }
 
-void span_sub(double* x, const Index32* idx, std::size_t n, double v) {
-    for (std::size_t k = 0; k < n; ++k) x[idx[k]] -= v;
-}
-
-void span_add(double* x, const Index32* idx, std::size_t n, double v) {
-    for (std::size_t k = 0; k < n; ++k) x[idx[k]] += v;
-}
-
-void span_sub_masked(double* x, const Index32* idx, std::size_t n, double v,
-                     const char* alive) {
-    if (alive == nullptr) {
-        span_sub(x, idx, n, v);
-        return;
-    }
-    for (std::size_t k = 0; k < n; ++k)
-        if (alive[idx[k]]) x[idx[k]] -= v;
-}
-
 Index32 argmin_ratio(const double* c, const Index32* nj, const char* alive,
                      const char* sel, std::size_t n) {
+    static stats::Counter& c_scans = stats::counter("kernels.argmin_scans");
+    c_scans.add();
     double best_score = std::numeric_limits<double>::infinity();
     std::size_t best = n;
     for (std::size_t j = 0; j < n; ++j) {
@@ -110,8 +97,8 @@ Index32 argmin_ratio(const double* c, const Index32* nj, const char* alive,
 }
 
 namespace {
-inline bool subset_words(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t w) {
+bool subset_words(const std::uint64_t* a, const std::uint64_t* b,
+                  std::size_t w) {
     for (std::size_t k = 0; k < w; ++k)
         if ((a[k] & b[k]) != a[k]) return false;
     return true;
@@ -121,6 +108,8 @@ inline bool subset_words(const std::uint64_t* a, const std::uint64_t* b,
 void subset_batch(const std::uint64_t* words, std::size_t wpr,
                   const std::uint64_t* a, const Index32* cand, std::size_t n,
                   char* out) {
+    static stats::Counter& c_tests = stats::counter("kernels.subset_tests");
+    c_tests.add(n);
     for (std::size_t t = 0; t < n; ++t)
         out[t] = subset_words(a, words + static_cast<std::size_t>(cand[t]) * wpr,
                               wpr)
@@ -131,11 +120,15 @@ void subset_batch(const std::uint64_t* words, std::size_t wpr,
 Index32 subset_first(const std::uint64_t* words, std::size_t wpr,
                      const std::uint64_t* a, const Index32* cand,
                      std::size_t n) {
-    for (std::size_t t = 0; t < n; ++t)
-        if (subset_words(a, words + static_cast<std::size_t>(cand[t]) * wpr,
+    static stats::Counter& c_tests = stats::counter("kernels.subset_tests");
+    std::size_t t = 0;
+    while (t < n &&
+           !subset_words(a, words + static_cast<std::size_t>(cand[t]) * wpr,
                          wpr))
-            return static_cast<Index32>(t);
-    return static_cast<Index32>(n);
+        ++t;
+    // Early exit: only the probes actually executed count.
+    c_tests.add(t < n ? t + 1 : n);
+    return static_cast<Index32>(t);
 }
 
 std::size_t popcount_words(const std::uint64_t* w, std::size_t n) {
@@ -174,162 +167,6 @@ std::size_t filter_remap(Index32* dst, const Index32* idx, std::size_t n,
     for (std::size_t k = 0; k < n; ++k)
         if (alive[idx[k]]) dst[out++] = remap[idx[k]];
     return out;
-}
-
-}  // namespace scalar_impl
-
-const Ops& ops_scalar() noexcept {
-    static constexpr Ops table = {
-        scalar_impl::step_clamp_nonneg,
-        scalar_impl::step_clamp01,
-        scalar_impl::rsub_masked,
-        scalar_impl::copy_masked,
-        scalar_impl::select_fill,
-        scalar_impl::fill,
-        scalar_impl::span_sub,
-        scalar_impl::span_add,
-        scalar_impl::span_sub_masked,
-        scalar_impl::argmin_ratio,
-        scalar_impl::subset_batch,
-        scalar_impl::subset_first,
-        scalar_impl::popcount_words,
-        scalar_impl::build_bits_filtered,
-        scalar_impl::sum_u32_masked,
-        scalar_impl::filter_remap,
-    };
-    return table;
-}
-
-#if UCP_SIMD_ENABLED && defined(__x86_64__)
-namespace avx2_impl {
-// Defined in sparse_ops_avx2.cpp (the only TU built with -mavx2).
-const Ops& table() noexcept;
-}  // namespace avx2_impl
-
-const Ops* ops_avx2() noexcept {
-    return avx2_available() ? &avx2_impl::table() : nullptr;
-}
-#else
-const Ops* ops_avx2() noexcept { return nullptr; }
-#endif
-
-namespace {
-// One relaxed atomic load + branch per kernel call; the batch-granular API
-// (whole spans / whole candidate lists per call) keeps that overhead noise.
-inline const Ops& active_ops() noexcept {
-    if (active_isa() == Isa::kAvx2) {
-        const Ops* a = ops_avx2();
-        if (a != nullptr) return *a;
-    }
-    return ops_scalar();
-}
-
-// Small-call cutoff: below a few vector widths the dispatch (atomic load +
-// indirect call) costs more than the loop body, and the vector head/tail
-// machinery adds nothing. Tiny calls take the scalar reference inline.
-// Output bits are identical either way (the bit-exactness contract), so
-// this is purely a latency decision — it matters on small cores, where a
-// subgradient iteration issues dozens of ~5-element span updates.
-constexpr std::size_t kSmallN = 16;
-}  // namespace
-
-void step_clamp_nonneg(double* x, const double* d, double step,
-                       const char* alive, std::size_t n) {
-    if (n < kSmallN) return scalar_impl::step_clamp_nonneg(x, d, step, alive, n);
-    active_ops().step_clamp_nonneg(x, d, step, alive, n);
-}
-
-void step_clamp01(double* x, const double* d, double step, const char* alive,
-                  std::size_t n) {
-    if (n < kSmallN) return scalar_impl::step_clamp01(x, d, step, alive, n);
-    active_ops().step_clamp01(x, d, step, alive, n);
-}
-
-void rsub_masked(double* x, const double* c, const char* alive,
-                 std::size_t n) {
-    if (n < kSmallN) return scalar_impl::rsub_masked(x, c, alive, n);
-    active_ops().rsub_masked(x, c, alive, n);
-}
-
-void copy_masked(double* dst, const double* src, const char* alive,
-                 std::size_t n) {
-    if (n < kSmallN) return scalar_impl::copy_masked(dst, src, alive, n);
-    active_ops().copy_masked(dst, src, alive, n);
-}
-
-void select_fill(double* x, double v_alive, double v_dead, const char* alive,
-                 std::size_t n) {
-    if (n < kSmallN) return scalar_impl::select_fill(x, v_alive, v_dead, alive, n);
-    active_ops().select_fill(x, v_alive, v_dead, alive, n);
-}
-
-void fill(double* x, double v, std::size_t n) {
-    if (n < kSmallN) return scalar_impl::fill(x, v, n);
-    active_ops().fill(x, v, n);
-}
-
-void span_sub(double* x, const Index32* idx, std::size_t n, double v) {
-    if (n < kSmallN) return scalar_impl::span_sub(x, idx, n, v);
-    active_ops().span_sub(x, idx, n, v);
-}
-
-void span_add(double* x, const Index32* idx, std::size_t n, double v) {
-    if (n < kSmallN) return scalar_impl::span_add(x, idx, n, v);
-    active_ops().span_add(x, idx, n, v);
-}
-
-void span_sub_masked(double* x, const Index32* idx, std::size_t n, double v,
-                     const char* alive) {
-    if (n < kSmallN) return scalar_impl::span_sub_masked(x, idx, n, v, alive);
-    active_ops().span_sub_masked(x, idx, n, v, alive);
-}
-
-Index32 argmin_ratio(const double* c, const Index32* nj, const char* alive,
-                     const char* sel, std::size_t n) {
-    static stats::Counter& c_scans = stats::counter("kernels.argmin_scans");
-    c_scans.add();
-    return active_ops().argmin_ratio(c, nj, alive, sel, n);
-}
-
-void subset_batch(const std::uint64_t* words, std::size_t wpr,
-                  const std::uint64_t* a, const Index32* cand, std::size_t n,
-                  char* out) {
-    static stats::Counter& c_tests = stats::counter("kernels.subset_tests");
-    c_tests.add(n);
-    active_ops().subset_batch(words, wpr, a, cand, n, out);
-}
-
-Index32 subset_first(const std::uint64_t* words, std::size_t wpr,
-                     const std::uint64_t* a, const Index32* cand,
-                     std::size_t n) {
-    static stats::Counter& c_tests = stats::counter("kernels.subset_tests");
-    const Index32 t = active_ops().subset_first(words, wpr, a, cand, n);
-    // Early exit: only the probes actually executed count.
-    c_tests.add(t < n ? static_cast<std::uint64_t>(t) + 1 : n);
-    return t;
-}
-
-std::size_t popcount_words(const std::uint64_t* w, std::size_t n) {
-    if (n < kSmallN) return scalar_impl::popcount_words(w, n);
-    return active_ops().popcount_words(w, n);
-}
-
-void build_bits_filtered(std::uint64_t* w, const Index32* idx, std::size_t n,
-                         const char* keep) {
-    if (n < kSmallN) return scalar_impl::build_bits_filtered(w, idx, n, keep);
-    active_ops().build_bits_filtered(w, idx, n, keep);
-}
-
-std::uint64_t sum_u32_masked(const Index32* v, const char* alive,
-                             std::size_t n) {
-    if (n < kSmallN) return scalar_impl::sum_u32_masked(v, alive, n);
-    return active_ops().sum_u32_masked(v, alive, n);
-}
-
-std::size_t filter_remap(Index32* dst, const Index32* idx, std::size_t n,
-                         const char* alive, const Index32* remap) {
-    if (n < kSmallN) return scalar_impl::filter_remap(dst, idx, n, alive, remap);
-    return active_ops().filter_remap(dst, idx, n, alive, remap);
 }
 
 double dot_self(const double* x, std::size_t n) {

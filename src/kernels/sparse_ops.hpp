@@ -1,30 +1,25 @@
-// Vectorized sparse-ops layer for the explicit phase.
+// Sparse-ops kernel layer for the explicit phase.
 //
 // The dominance reductions, the Lagrangian engine and the greedy heuristics
 // spend their time in a handful of loop shapes over the flat CSR/CSC arrays:
 // masked dense elementwise updates, span gather/scatter accumulations,
 // argmin candidate scans and wide bitset subset tests. This header names
-// those shapes once; sparse_ops.cpp dispatches each call to an explicitly
-// vectorized AVX2 implementation or the portable scalar reference
-// (simd.hpp), selected at runtime.
+// those shapes once, and each has one implementation: a plain loop in
+// sparse_ops.cpp, or inline below for the span kernels (DESIGN.md §10).
 //
-// Bit-exactness contract (DESIGN.md §10): for identical inputs, the scalar
-// and AVX2 implementation of every kernel produce identical output bits.
-// Masked kernels never write dead lanes (`alive[i] == 0`), so stale values
-// in dead slots evolve identically under either path. Floating-point
-// *reductions* (dot products, norm accumulations) are deliberately NOT part
-// of this layer: reassociating them changes rounding, so the call sites keep
-// their sequential scalar loops.
+// Dead-lane contract: masked elementwise kernels leave the value of every
+// dead lane (`alive[i] == 0`) unchanged. They may load and store the lane
+// back, so its bits (NaN payloads, -0.0) survive exactly; that branch-free
+// store lets the compiler vectorize the loop without intrinsics.
+// Floating-point *reductions* (dot products, norm accumulations) keep their
+// sequential order: reassociating them changes rounding.
 //
 // `alive` masks are byte masks (0 = dead, nonzero = alive) matching the
-// SubMatrix representation; a null mask means "every lane alive" and lets
-// the full-matrix instantiations take the unmasked fast path.
+// SubMatrix representation; a null mask means "every lane alive".
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-
-#include "kernels/simd.hpp"
 
 namespace ucp::kern {
 
@@ -33,7 +28,7 @@ using Index32 = std::uint32_t;
 // ---- masked dense elementwise (doubles) -------------------------------------
 
 /// x[i] = max(x[i] + step * d[i], 0.0) for alive lanes (λ update, formula
-/// (2)). Two rounding steps (mul then add) — never fused, matching scalar.
+/// (2)). Two rounding steps (mul then add), never fused.
 void step_clamp_nonneg(double* x, const double* d, double step,
                        const char* alive, std::size_t n);
 
@@ -58,46 +53,53 @@ void select_fill(double* x, double v_alive, double v_dead, const char* alive,
 void fill(double* x, double v, std::size_t n);
 
 // ---- CSR/CSC span gather/scatter --------------------------------------------
-// Indices within one adjacency span are sorted and distinct, so a 4-wide
-// gather / modify / store touches each target slot exactly once — the result
-// is bit-identical to the scalar walk.
+// Indices within one adjacency span are sorted and distinct. These are
+// defined inline: the subgradient loop makes tens of millions of calls on
+// spans of a few entries, where a call costs as much as the loop body
+// (DESIGN.md §10).
 
 /// x[idx[k]] -= v for k in [0, n) (c̃ -= λ_i over a row span, ẽ -= µ_j over
 /// a column span).
-void span_sub(double* x, const Index32* idx, std::size_t n, double v);
+inline void span_sub(double* x, const Index32* idx, std::size_t n, double v) {
+    for (std::size_t k = 0; k < n; ++k) x[idx[k]] -= v;
+}
 
 /// x[idx[k]] += v for k in [0, n) (dual-subgradient load accumulation).
-void span_add(double* x, const Index32* idx, std::size_t n, double v);
+inline void span_add(double* x, const Index32* idx, std::size_t n, double v) {
+    for (std::size_t k = 0; k < n; ++k) x[idx[k]] += v;
+}
 
 /// x[idx[k]] -= v only where alive[idx[k]] (subgradient s update; dead slots
 /// must stay exactly 0.0). Null mask = unmasked span_sub.
-void span_sub_masked(double* x, const Index32* idx, std::size_t n, double v,
-                     const char* alive);
+inline void span_sub_masked(double* x, const Index32* idx, std::size_t n,
+                            double v, const char* alive) {
+    for (std::size_t k = 0; k < n; ++k)
+        if (alive == nullptr || alive[idx[k]]) x[idx[k]] -= v;
+}
 
 // ---- greedy candidate scan ---------------------------------------------------
 
 /// Index of the first minimum of score(j) = max(c[j], 1e-9) / nj[j] over the
 /// valid lanes (alive, not selected, nj > 0); returns n when no lane is
 /// valid. Exactly the γ1 (cost / covered-rows) scan of lagrangian_greedy:
-/// the scalar reference takes the first strictly-smaller score, so the
-/// result is the smallest index attaining the minimum — the vector path
-/// reproduces that tie rule. `alive` / `sel` may be null (= all alive / none
-/// selected).
+/// the first strictly-smaller score wins, so the result is the smallest
+/// index attaining the minimum. `alive` / `sel` may be null (= all alive /
+/// none selected). Counts one `kernels.argmin_scans` per call.
 Index32 argmin_ratio(const double* c, const Index32* nj, const char* alive,
                      const char* sel, std::size_t n);
 
 // ---- 64-bit-word bitset kernels ---------------------------------------------
 
 /// out[t] = 1 iff the word row `a` is a subset of candidate row
-/// words + cand[t] * wpr, word-wise (a & b) == a. One call per probe scan
-/// amortises the dispatch over the whole candidate list.
+/// words + cand[t] * wpr, word-wise (a & b) == a. Counts n
+/// `kernels.subset_tests`.
 void subset_batch(const std::uint64_t* words, std::size_t wpr,
                   const std::uint64_t* a, const Index32* cand, std::size_t n,
                   char* out);
 
-/// First t with `a` ⊆ row cand[t], or n when none (early-exit inside the
-/// selected implementation — the column-dominance scan stops at the first
-/// dominator).
+/// First t with `a` ⊆ row cand[t], or n when none. Stops at the first hit
+/// (the column-dominance scan stops at the first dominator) and counts only
+/// the probes it ran in `kernels.subset_tests`.
 Index32 subset_first(const std::uint64_t* words, std::size_t wpr,
                      const std::uint64_t* a, const Index32* cand,
                      std::size_t n);
@@ -112,8 +114,6 @@ void build_bits_filtered(std::uint64_t* w, const Index32* idx, std::size_t n,
                          const char* keep);
 
 // ---- integer sweeps ----------------------------------------------------------
-// Integer addition is associative, so these may vectorize freely and still
-// return the exact scalar value.
 
 /// Σ v[i] over alive lanes, widened to 64 bit (live-entry counts for the
 /// density estimate in reduce_inplace).
@@ -126,54 +126,12 @@ std::size_t filter_remap(Index32* dst, const Index32* idx, std::size_t n,
                          const char* alive, const Index32* remap);
 
 // ---- sequential floating-point reductions -----------------------------------
-// Shared helpers with ONE implementation: the scalar loop. Kept here so call
-// sites state their reduction order explicitly; see the header comment for
-// why these never vectorize.
+// Kept here so call sites state their reduction order explicitly.
 
 /// Σ x[i]² in ascending order.
 double dot_self(const double* x, std::size_t n);
 
 /// Σ x[i]² over alive lanes, ascending order.
 double dot_self_masked(const double* x, const char* alive, std::size_t n);
-
-// ---- testing hooks -----------------------------------------------------------
-
-/// Dispatch table; both concrete tables are exposed so the differential
-/// tests can pin scalar-vs-AVX2 bit-equality per op without toggling the
-/// global selection.
-struct Ops {
-    void (*step_clamp_nonneg)(double*, const double*, double, const char*,
-                              std::size_t);
-    void (*step_clamp01)(double*, const double*, double, const char*,
-                         std::size_t);
-    void (*rsub_masked)(double*, const double*, const char*, std::size_t);
-    void (*copy_masked)(double*, const double*, const char*, std::size_t);
-    void (*select_fill)(double*, double, double, const char*, std::size_t);
-    void (*fill)(double*, double, std::size_t);
-    void (*span_sub)(double*, const Index32*, std::size_t, double);
-    void (*span_add)(double*, const Index32*, std::size_t, double);
-    void (*span_sub_masked)(double*, const Index32*, std::size_t, double,
-                            const char*);
-    Index32 (*argmin_ratio)(const double*, const Index32*, const char*,
-                            const char*, std::size_t);
-    void (*subset_batch)(const std::uint64_t*, std::size_t,
-                         const std::uint64_t*, const Index32*, std::size_t,
-                         char*);
-    Index32 (*subset_first)(const std::uint64_t*, std::size_t,
-                            const std::uint64_t*, const Index32*, std::size_t);
-    std::size_t (*popcount_words)(const std::uint64_t*, std::size_t);
-    void (*build_bits_filtered)(std::uint64_t*, const Index32*, std::size_t,
-                                const char*);
-    std::uint64_t (*sum_u32_masked)(const Index32*, const char*, std::size_t);
-    std::size_t (*filter_remap)(Index32*, const Index32*, std::size_t,
-                                const char*, const Index32*);
-};
-
-/// The portable reference table (always available).
-[[nodiscard]] const Ops& ops_scalar() noexcept;
-
-/// The AVX2 table, or nullptr when not compiled in / not supported by the
-/// CPU.
-[[nodiscard]] const Ops* ops_avx2() noexcept;
 
 }  // namespace ucp::kern

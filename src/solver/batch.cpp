@@ -121,7 +121,7 @@ BatchResult BatchSolver::solve(
     const unsigned threads = opt_.num_threads == 0
                                  ? ThreadPool::default_threads()
                                  : static_cast<unsigned>(opt_.num_threads);
-    ThreadPool pool(threads);
+    ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(threads, B)));
 
     {
         TRACE_SPAN("batch.reduce_all");

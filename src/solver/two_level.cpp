@@ -149,7 +149,13 @@ TwoLevelResult minimize_two_level(const pla::Pla& pla,
     res.cover = cover::solution_to_cover(table, solution);
     res.cost = static_cast<Cost>(res.cover.size());
     res.literals = res.cover.literal_count();
-    if (opt.verify) res.verified = verify_equivalence(pla, res.cover);
+    if (opt.verify) {
+        TRACE_SPAN("two_level.verify");
+        static stats::Counter& c_verify =
+            stats::counter("two_level.verify_calls");
+        c_verify.add();
+        res.verified = verify_equivalence(pla, res.cover);
+    }
     res.total_seconds = total.seconds();
     return res;
 }

@@ -1,7 +1,9 @@
 #include "util/thread_pool.hpp"
 
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
-#include <string>
 
 namespace ucp {
 
@@ -74,10 +76,20 @@ unsigned ThreadPool::hardware_threads() noexcept {
 }
 
 unsigned ThreadPool::default_threads() noexcept {
-    if (const char* env = std::getenv("UCP_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) return static_cast<unsigned>(v);
-    }
+    const char* env = std::getenv("UCP_THREADS");
+    if (env == nullptr) return hardware_threads();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno == 0 && v >= 1 &&
+        v <= static_cast<long>(kMaxThreads))
+        return static_cast<unsigned>(v);
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true))
+        std::fprintf(stderr,
+                     "warning: ignoring UCP_THREADS=%s (want an integer in "
+                     "1..%u); using %u hardware threads\n",
+                     env, kMaxThreads, hardware_threads());
     return hardware_threads();
 }
 

@@ -53,9 +53,14 @@ public:
     /// std::thread::hardware_concurrency with a floor of 1.
     static unsigned hardware_threads() noexcept;
 
+    /// Ceiling for a thread count that comes from outside the program
+    /// (`UCP_THREADS`, a `--threads` flag).
+    static constexpr unsigned kMaxThreads = 1024;
+
     /// Thread count to use when the caller does not specify one: the
-    /// `UCP_THREADS` environment variable if set to a positive integer,
-    /// otherwise hardware_threads().
+    /// `UCP_THREADS` environment variable if it is a whole integer in
+    /// [1, kMaxThreads], otherwise hardware_threads(). A set but invalid
+    /// value is reported once per process on stderr.
     static unsigned default_threads() noexcept;
 
 private:

@@ -21,11 +21,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <vector>
 
 #include "util/budget.hpp"
@@ -33,15 +34,28 @@
 namespace ucp::zdd {
 
 /// Compile-less toggle for the chain-reduced ZDD node encoding: the env var
-/// `UCP_ZDD_CHAIN=off|0|false` flips the DdOptions::chain_nodes default so
-/// every manager in the process (benches included) runs plain-node, no code
-/// changes needed. Read once, like the UCP_SIMD override in kernels/simd.cpp.
+/// `UCP_ZDD_CHAIN` (on/off, 1/0, true/false, any case) sets the
+/// DdOptions::chain_nodes default for every manager in the process (benches
+/// included). Read once; any other value warns once on stderr and keeps the
+/// default (on).
 inline bool dd_chain_nodes_default() noexcept {
     static const bool enabled = [] {
         const char* env = std::getenv("UCP_ZDD_CHAIN");
         if (env == nullptr) return true;
-        const std::string_view v(env);
-        return !(v == "off" || v == "OFF" || v == "0" || v == "false");
+        const auto is = [env](const char* word) {
+            std::size_t i = 0;
+            for (; env[i] != '\0' && word[i] != '\0'; ++i)
+                if (std::tolower(static_cast<unsigned char>(env[i])) != word[i])
+                    return false;
+            return env[i] == word[i];
+        };
+        if (is("on") || is("1") || is("true")) return true;
+        if (is("off") || is("0") || is("false")) return false;
+        std::fprintf(stderr,
+                     "warning: ignoring UCP_ZDD_CHAIN=%s (want on|off|1|0|"
+                     "true|false); chain nodes stay on\n",
+                     env);
+        return true;
     }();
     return enabled;
 }

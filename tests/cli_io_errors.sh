@@ -82,6 +82,37 @@ for arg in --zdd-chain=maybe --trace-level=loud --trace-format=xml \
     fails=$((fails + 1)); }
 done
 
+# Thread counts from outside are bounded: a negative or huge --threads is a
+# bad_input before any table is built or any thread started.
+for arg in --threads=-1 --threads=100000; do
+  timeout 60 "$BIN" --batch=bench1 --json "$arg" >"$TMP/out" 2>"$TMP/err"
+  rc=$?
+  check "batch $arg" 2 $rc
+  expect_status "batch $arg" bad_input "$TMP/out"
+  grep -q -- "--threads" "$TMP/err" || {
+    echo "FAIL batch $arg: diagnostic does not name the flag"
+    fails=$((fails + 1)); }
+done
+
+# UCP_ZDD_CHAIN: any case of on/off/1/0/true/false is taken silently; any
+# other value warns once on stderr, names the variable and keeps the default.
+for val in Off FALSE 0 On true 1; do
+  UCP_ZDD_CHAIN=$val "$BIN" --instance=bench1 --json >"$TMP/out" 2>"$TMP/err"
+  rc=$?
+  check "zdd-chain-env $val" 0 $rc
+  expect_status "zdd-chain-env $val" ok "$TMP/out"
+  test ! -s "$TMP/err" || {
+    echo "FAIL zdd-chain-env $val: unexpected stderr: $(cat "$TMP/err")"
+    fails=$((fails + 1)); }
+done
+UCP_ZDD_CHAIN=no "$BIN" --instance=bench1 --json >"$TMP/out" 2>"$TMP/err"
+rc=$?
+check zdd-chain-env-unknown 0 $rc
+expect_status zdd-chain-env-unknown ok "$TMP/out"
+test "$(grep -c UCP_ZDD_CHAIN "$TMP/err")" -eq 1 || {
+  echo "FAIL zdd-chain-env-unknown: want one warning naming UCP_ZDD_CHAIN, got: $(cat "$TMP/err")"
+  fails=$((fails + 1)); }
+
 # No input at all: same contract.
 "$BIN" --json >"$TMP/out" 2>/dev/null; rc=$?
 check no-input 2 $rc

@@ -75,6 +75,18 @@ TEST(ThreadPool, DefaultThreadsRespectsEnvOverride) {
     EXPECT_EQ(ThreadPool::default_threads(), ThreadPool::hardware_threads());
 }
 
+TEST(ThreadPool, DefaultThreadsRejectsPartialAndHugeEnvValues) {
+    // Only the returned count is checked: no pool is built from it.
+    const unsigned hw = ThreadPool::hardware_threads();
+    ::setenv("UCP_THREADS", "4x", 1);
+    EXPECT_EQ(ThreadPool::default_threads(), hw);
+    ::setenv("UCP_THREADS", "100000", 1);
+    EXPECT_EQ(ThreadPool::default_threads(), hw);
+    ::setenv("UCP_THREADS", "1024", 1);
+    EXPECT_EQ(ThreadPool::default_threads(), ThreadPool::kMaxThreads);
+    ::unsetenv("UCP_THREADS");
+}
+
 TEST(ThreadPool, ManyPoolsConstructDestructCleanly) {
     for (int round = 0; round < 20; ++round) {
         ThreadPool pool(2);

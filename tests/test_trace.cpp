@@ -402,6 +402,44 @@ TEST(Trace, FallbackInstantsMatchCounterExactly) {
     EXPECT_EQ(fallback_instants, fallbacks);
 }
 
+// ---- verification has its own span ----------------------------------------
+
+TEST(Trace, VerifySpanOnlyWhenVerifying) {
+    SKIP_IF_COMPILED_OUT();
+    const ucp::pla::Pla pla = small_pla(11);
+    auto& calls = ucp::stats::counter("two_level.verify_calls");
+    for (const bool verify : {true, false}) {
+        ucp::solver::TwoLevelOptions tl;
+        tl.verify = verify;
+        const auto before = calls.value();
+        TraceSession session(trace::Level::kPhase);
+        const auto r = ucp::solver::minimize_two_level(pla, tl);
+        trace::stop();
+        EXPECT_EQ(r.verified, verify);
+        EXPECT_EQ(calls.value() - before, verify ? 1u : 0u);
+
+        const trace::SpanView* top = nullptr;
+        const trace::SpanView* check = nullptr;
+        const auto spans = trace::spans_snapshot();
+        for (const auto& s : spans) {
+            if (std::string(s.name) == "two_level") top = &s;
+            if (std::string(s.name) == "two_level.verify") {
+                EXPECT_EQ(check, nullptr) << "more than one verify span";
+                check = &s;
+            }
+        }
+        ASSERT_NE(top, nullptr);
+        if (!verify) {
+            EXPECT_EQ(check, nullptr);
+            continue;
+        }
+        ASSERT_NE(check, nullptr);
+        EXPECT_EQ(check->depth, top->depth + 1u);
+        EXPECT_GE(check->t0_ns, top->t0_ns);
+        EXPECT_LE(check->t1_ns, top->t1_ns);
+    }
+}
+
 // ---- manager-scoped counter roll-up (satellite fix) -------------------------
 
 TEST(Trace, ZddManagerRollUpIsIdempotent) {
